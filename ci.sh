@@ -53,6 +53,9 @@ echo "==> cargo run -p xtask -- bench-smoke (perf record + 256-connection event-
 echo "    byte-identity vs oracle and bounded RSS are enforced; wall-clock is record-only)"
 cargo run -p xtask -- bench-smoke
 
+echo "==> benchmark/check.sh (the standalone benchmark package: fmt, clippy, tests, smoke run of every workload)"
+./benchmark/check.sh
+
 echo "==> cargo run -p xtask -- fuzz"
 cargo run -p xtask -- fuzz
 

@@ -132,8 +132,14 @@ pub fn run(tokens: &[String]) -> Result<(), Box<dyn Error>> {
         Some(raw) => Some(parse_peers(raw)?),
         None => None,
     };
-    if peers.is_some() && node_id.is_none() {
-        return Err("--peers requires --node-id (cluster mode)".into());
+    match (node_id, &peers) {
+        (None, Some(_)) => return Err("--peers requires --node-id (cluster mode)".into()),
+        // A ring without this node owns nothing here: every fetch the
+        // node received would be silently proxied away.
+        (Some(id), Some(members)) if !members.iter().any(|(peer, _)| *peer == NodeId(id)) => {
+            return Err(format!("--peers must list this node itself (--node-id {id})").into());
+        }
+        _ => {}
     }
 
     let cache = Arc::new(build_cache(capacity, shards, group, successors)?);
@@ -241,6 +247,24 @@ mod tests {
         ];
         let err = run(&tokens).expect_err("peers without node-id");
         assert!(err.to_string().contains("--node-id"), "{err}");
+    }
+
+    #[test]
+    fn peers_omitting_the_node_itself_rejected() {
+        let tokens: Vec<String> = vec![
+            "--capacity".into(),
+            "100".into(),
+            "--node-id".into(),
+            "3".into(),
+            "--peers".into(),
+            "1=127.0.0.1:7001,2=127.0.0.1:7002".into(),
+        ];
+        let err = run(&tokens).expect_err("peer list without node 3");
+        let message = err.to_string();
+        assert!(
+            message.contains("--peers") && message.contains("--node-id 3"),
+            "{message}"
+        );
     }
 
     #[test]

@@ -10,13 +10,12 @@
 //! disagree mid-update.
 //!
 //! Concurrent proxied misses for the same group collapse through
-//! [`SingleFlight`]; retries of the *same* request reuse their id and
-//! deduplicate in the owner's reply cache. Local serves deduplicate in a
-//! node-level [`ReplyCache`] held across execution — the node, not the
-//! enclosing TCP server, is the exactly-once boundary, because the TCP
-//! server must not hold its own reply cache while a proxied fetch blocks
-//! on a peer (see
-//! [`ServeBackend::serializes_execution`]).
+//! [`SingleFlight`]. The node is routing plus single-flight in front of
+//! the cache and holds no exactly-once state of its own: retries reuse
+//! their request id and deduplicate in the reply cache of whichever
+//! *server* they reach — the entry server's for a `Fetch` (covering
+//! local serves, proxies and the fallback below alike), the owner
+//! server's for a `FetchOwned` (see [`fgcache_net::dedup`]).
 //!
 //! If a proxy fails after the transport's own retries are exhausted, the
 //! node serves the group from its local cache instead — availability
@@ -26,10 +25,7 @@
 use std::sync::{Arc, Mutex};
 
 use fgcache_core::ShardedAggregatingCache;
-use fgcache_net::{
-    FileReply, GroupReply, GroupRequest, ReplyCache, ServeBackend, Transport, TransportStats,
-    WireStats, DEFAULT_REPLY_CACHE_CAPACITY,
-};
+use fgcache_net::{GroupReply, GroupRequest, ServeBackend, Transport, TransportStats, WireStats};
 use fgcache_types::hash::FastMap;
 use fgcache_types::{FileId, TransportError};
 
@@ -90,7 +86,6 @@ pub struct ClusterNode {
     connector: PeerConnector,
     membership: Mutex<Membership>,
     flights: SingleFlight,
-    local_dedup: Mutex<ReplyCache>,
     counters: Mutex<ClusterNodeStats>,
 }
 
@@ -122,17 +117,8 @@ impl ClusterNode {
                 retired: TransportStats::default(),
             }),
             flights: SingleFlight::new(),
-            local_dedup: Mutex::new(ReplyCache::new(DEFAULT_REPLY_CACHE_CAPACITY)),
             counters: Mutex::new(ClusterNodeStats::default()),
         }
-    }
-
-    /// Overrides the node-level reply-cache window; 0 disables local
-    /// retry deduplication.
-    #[must_use]
-    pub fn with_dedup_capacity(self, capacity: usize) -> Self {
-        *self.lock_dedup() = ReplyCache::new(capacity);
-        self
     }
 
     /// This node's id.
@@ -160,12 +146,6 @@ impl ClusterNode {
         self.counters
             .lock()
             .expect("a cluster routing path panicked while holding the counters")
-    }
-
-    fn lock_dedup(&self) -> std::sync::MutexGuard<'_, ReplyCache> {
-        self.local_dedup
-            .lock()
-            .expect("a local serve panicked while holding the node reply cache")
     }
 
     /// Applies `view` if its epoch is newer than the held one, returning
@@ -238,27 +218,10 @@ impl ClusterNode {
         }
     }
 
-    /// Serves a group from the local cache, exactly-once per request id
-    /// via the node-level reply cache (held across execution; purely
-    /// local, so it cannot deadlock against a peer).
+    /// Serves a group from the local cache, exactly as a standalone
+    /// server would.
     pub fn serve_local(&self, request_id: u64, files: &[FileId]) -> GroupReply {
-        let mut dedup = self.lock_dedup();
-        if let Some(remembered) = dedup.get(request_id) {
-            return remembered.clone();
-        }
-        let replies: Vec<FileReply> = files
-            .iter()
-            .map(|&file| FileReply {
-                file,
-                outcome: self.cache.handle_access(file),
-            })
-            .collect();
-        let reply = GroupReply {
-            request_id,
-            files: replies,
-        };
-        dedup.insert(reply.clone());
-        reply
+        self.cache.serve_group(request_id, files)
     }
 
     /// Proxies a group fetch to `owner`, collapsing concurrent misses
@@ -330,7 +293,7 @@ impl ClusterNode {
     }
 
     /// Merged upstream traffic: every live peer transport plus the
-    /// retired ones, plus this node's own reply-cache hits.
+    /// retired ones.
     pub fn transport_stats(&self) -> TransportStats {
         let m = self.lock_membership();
         let mut merged = m.retired;
@@ -341,8 +304,6 @@ impl ClusterNode {
                 .stats();
             merged.merge(&stats);
         }
-        drop(m);
-        merged.reply_cache_hits += self.lock_dedup().hits();
         merged
     }
 
@@ -384,20 +345,11 @@ impl ServeBackend for ClusterNode {
     }
 
     fn wire_stats(&self) -> WireStats {
-        let mut stats = self.cache.wire_stats();
-        stats.reply_cache_hits += self.lock_dedup().hits();
-        stats
+        self.cache.wire_stats()
     }
 
     fn apply_cluster_update(&self, epoch: u64, members: &[(u64, String)]) -> Result<u64, String> {
         Ok(self.apply_view(ClusterView::from_wire(epoch, members)))
-    }
-
-    /// Proxied fetches block on a peer's server; the enclosing server
-    /// must not serialise them under its own reply cache (the node-level
-    /// cache supplies exactly-once for local serves).
-    fn serializes_execution(&self) -> bool {
-        false
     }
 }
 
@@ -487,18 +439,6 @@ mod tests {
         assert_eq!(node.stats().owned_serves, 1);
         assert_eq!(node.cache().stats().accesses, 1);
         assert_eq!(remote.stats().accesses, 0, "no forwarding");
-    }
-
-    #[test]
-    fn local_retries_deduplicate_at_the_node() {
-        let (node, _remote) = two_nodes();
-        let file = owned_by(&node, NodeId(1));
-        let first = node.serve(1, &[file]);
-        let retry = node.serve(1, &[file]);
-        assert_eq!(first, retry);
-        assert_eq!(node.cache().stats().accesses, 1, "executed once");
-        assert_eq!(node.wire_stats().reply_cache_hits, 1);
-        assert_eq!(node.transport_stats().reply_cache_hits, 1);
     }
 
     #[test]

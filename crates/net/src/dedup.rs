@@ -1,15 +1,25 @@
-//! Bounded reply cache: the server side of idempotency-by-request-id.
+//! The exactly-once layer: idempotency by request id, in one place.
 //!
 //! A retry of a request whose *reply* was lost must not re-execute the
 //! fetch — the first execution already mutated cache residency and
-//! statistics. Servers (and the simulated transports that stand in for
-//! them) therefore remember recent replies keyed by request id and
-//! re-deliver them verbatim. The window is bounded FIFO: once a reply is
-//! older than `capacity` newer requests, a retry is assumed impossible
-//! (the client's retry policy gives up long before then) and the entry is
-//! evicted.
+//! statistics. [`ReplyCache`] therefore remembers recent replies keyed by
+//! request id and re-delivers them verbatim. The window is bounded FIFO:
+//! once a reply is older than `capacity` newer requests, a retry is
+//! assumed impossible (the client's retry policy gives up long before
+//! then) and the entry is evicted.
+//!
+//! [`ExactlyOnce`] is the form a serving process shares between its
+//! workers, and its only exactly-once mechanism whatever the backend: the
+//! first arrival of an id *claims* it and executes with **no lock held**;
+//! a retry racing it — on another connection, another worker — parks
+//! until the claim completes and then receives the remembered reply.
+//! Because nothing is held across execution, an execution may block on
+//! another server (a cluster proxy) without deadlocking two servers
+//! against each other. The simulated transports embed a plain
+//! [`ReplyCache`]: they are single-threaded, so nothing can race.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 use crate::transport::GroupReply;
 
@@ -85,6 +95,97 @@ impl ReplyCache {
     }
 }
 
+/// Ids a server can have in flight before the set's storage grows: one
+/// per worker, and the default pool is a quarter of this.
+const IN_FLIGHT_PREALLOC: usize = 16;
+
+/// A [`ReplyCache`] shared by a server's workers, plus the ids currently
+/// executing. See the [module docs](self) for the rule.
+#[derive(Debug)]
+pub struct ExactlyOnce {
+    state: Mutex<InFlight>,
+    finished: Condvar,
+    /// False for a zero-capacity window: nothing is remembered, so
+    /// nothing is tracked either and a retry re-executes.
+    enabled: bool,
+}
+
+#[derive(Debug)]
+struct InFlight {
+    cache: ReplyCache,
+    /// Claimed ids, at most one per worker: a linear scan beats hashing.
+    executing: Vec<u64>,
+    /// Retries parked on `finished`. Completion notifies only when this
+    /// is non-zero — a futex wake is a syscall even with nobody parked.
+    parked: usize,
+}
+
+impl ExactlyOnce {
+    /// Shares `cache` under the in-flight rule.
+    pub fn new(cache: ReplyCache) -> Self {
+        ExactlyOnce {
+            enabled: cache.capacity > 0,
+            state: Mutex::new(InFlight {
+                cache,
+                executing: Vec::with_capacity(IN_FLIGHT_PREALLOC),
+                parked: 0,
+            }),
+            finished: Condvar::new(),
+        }
+    }
+
+    /// Serves `request_id`: the remembered reply if there is one,
+    /// otherwise `execute()` — run at most once per id within the window,
+    /// with no lock held — whose reply is remembered for retries.
+    pub fn serve(&self, request_id: u64, execute: impl FnOnce() -> GroupReply) -> GroupReply {
+        if !self.enabled {
+            return execute();
+        }
+        let mut state = self.lock();
+        loop {
+            if let Some(remembered) = state.cache.get(request_id) {
+                return remembered.clone();
+            }
+            if !state.executing.contains(&request_id) {
+                // Also where a parked retry lands if the window moved past
+                // its reply before it woke: expired, like any late retry.
+                break;
+            }
+            state.parked += 1;
+            state = self
+                .finished
+                .wait(state)
+                .expect("a worker panicked while holding the reply cache");
+            state.parked -= 1;
+        }
+        state.executing.push(request_id);
+        drop(state);
+
+        let reply = execute();
+
+        let mut state = self.lock();
+        state.executing.retain(|&id| id != request_id);
+        state.cache.insert(reply.clone());
+        let wake = state.parked > 0;
+        drop(state);
+        if wake {
+            self.finished.notify_all();
+        }
+        reply
+    }
+
+    /// Retries answered from the window so far (see [`ReplyCache::hits`]).
+    pub fn hits(&self) -> u64 {
+        self.lock().cache.hits()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, InFlight> {
+        self.state
+            .lock()
+            .expect("a worker panicked while holding the reply cache")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,5 +236,58 @@ mod tests {
         c.insert(reply(1));
         assert!(c.get(1).is_none());
         assert!(c.is_empty());
+    }
+
+    #[test]
+    fn racing_retry_parks_and_the_claim_executes_once_with_no_lock_held() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::mpsc::channel;
+
+        let (once, runs) = (&ExactlyOnce::new(ReplyCache::new(4)), &AtomicU64::new(0));
+        let (entered_tx, entered_rx) = channel();
+        let (release_tx, release_rx) = channel::<()>();
+        std::thread::scope(|scope| {
+            let first = scope.spawn(move || {
+                once.serve(7, || {
+                    runs.fetch_add(1, Ordering::Relaxed);
+                    entered_tx.send(()).expect("driver alive");
+                    release_rx.recv().expect("driver alive");
+                    reply(7)
+                })
+            });
+            entered_rx.recv().expect("first claim executing");
+            let retry = scope.spawn(move || {
+                once.serve(7, || {
+                    runs.fetch_add(1, Ordering::Relaxed);
+                    reply(7)
+                })
+            });
+            while once.lock().parked == 0 {
+                std::thread::yield_now();
+            }
+            // Id 7 is mid-execution with a retry parked behind it, and a
+            // different id still runs: nothing is held across execution.
+            assert_eq!(once.serve(8, || reply(8)).request_id, 8);
+            release_tx.send(()).expect("first claim alive");
+            let first = first.join().expect("first claim");
+            assert_eq!(first, retry.join().expect("parked retry"));
+        });
+        assert_eq!(runs.load(Ordering::Relaxed), 1, "the retry never executed");
+        assert_eq!(once.hits(), 1, "the retry was answered from the window");
+        assert!(once.lock().executing.is_empty());
+    }
+
+    #[test]
+    fn zero_capacity_window_tracks_nothing_and_re_executes() {
+        let once = ExactlyOnce::new(ReplyCache::new(0));
+        let mut runs = 0;
+        for _ in 0..2 {
+            once.serve(1, || {
+                runs += 1;
+                reply(1)
+            });
+        }
+        assert_eq!(runs, 2);
+        assert_eq!(once.hits(), 0);
     }
 }

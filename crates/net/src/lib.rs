@@ -27,7 +27,9 @@
 //! The invariant the whole crate is built around: **a fetch executes at
 //! most once per request id**. Retries re-send the same id; servers (real
 //! and simulated) remember recent replies in a bounded [`ReplyCache`]
-//! ([`dedup`]) and re-deliver rather than re-execute. This is what makes
+//! ([`dedup`]) and re-deliver rather than re-execute, and a real server's
+//! workers share it as an [`ExactlyOnce`], so a retry racing its original
+//! waits for it instead of executing beside it. This is what makes
 //! a networked run produce *byte-identical* cache statistics to an
 //! in-process run even when the network loses replies — which the
 //! loopback differential test demands.
@@ -72,7 +74,7 @@ pub mod transport;
 pub mod wire;
 
 pub use client::NetClient;
-pub use dedup::{ReplyCache, DEFAULT_REPLY_CACHE_CAPACITY};
+pub use dedup::{ExactlyOnce, ReplyCache, DEFAULT_REPLY_CACHE_CAPACITY};
 pub use fault::{FaultConfig, FaultStats, FaultyTransport};
 pub use retry::{RetryPolicy, RetryingTransport};
 pub use server::{

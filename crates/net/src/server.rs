@@ -39,15 +39,14 @@
 //!
 //! # Exactly-once fetches
 //!
-//! Unchanged from the thread-per-connection server: all connections share
-//! one [`ReplyCache`] behind a mutex, and for backends that
-//! [serialise](ServeBackend::serializes_execution) a fetch executes
-//! *while holding it* — a retry racing its original request, possibly on
-//! a different pooled connection or a different worker, either finds the
-//! remembered reply or blocks until the original finishes, never
-//! double-executing. Backends that deduplicate internally (a cluster
-//! node, whose fetches may block on a *peer's* server) execute outside
-//! the lock, exactly as before.
+//! All connections share one [`ExactlyOnce`] — the process's only
+//! exactly-once mechanism, the same for every backend. The first arrival
+//! of a request id claims it and executes with no lock held; a retry
+//! racing it, possibly on a different pooled connection or a different
+//! worker, parks until the claim completes and receives the remembered
+//! reply, never double-executing. Fetches of different ids never wait on
+//! each other here, so a backend may block on a *peer's* server (a
+//! cluster node proxying) without two servers deadlocking.
 //!
 //! # Shutdown
 //!
@@ -70,7 +69,7 @@ use std::time::{Duration, Instant};
 use fgcache_core::ShardedAggregatingCache;
 use fgcache_types::FileId;
 
-use crate::dedup::{ReplyCache, DEFAULT_REPLY_CACHE_CAPACITY};
+use crate::dedup::{ExactlyOnce, ReplyCache, DEFAULT_REPLY_CACHE_CAPACITY};
 use crate::transport::{FileReply, GroupReply};
 use crate::wire::{decode_fetch_into, Message, WireStats, MAX_FRAME_LEN};
 
@@ -145,20 +144,15 @@ pub trait ServeBackend: Send + Sync {
         let _ = (epoch, members);
         Err("this server is not a cluster node".to_string())
     }
-
-    /// Whether the server must hold its reply cache across execution to
-    /// make fetches exactly-once (the default). Backends that deduplicate
-    /// internally — a cluster node, whose fetches may block on a *peer's*
-    /// server — return `false`, so a fetch executes outside the
-    /// server-wide lock: two nodes proxying to each other would otherwise
-    /// deadlock, each holding its own reply cache while waiting on the
-    /// other's.
-    fn serializes_execution(&self) -> bool {
-        true
-    }
 }
 
 impl ServeBackend for ShardedAggregatingCache {
+    /// The one place a group fetch executes against a local cache: the
+    /// in-process and simulated transports and a cluster node's local
+    /// serve all call this, so they cannot drift from what a server runs.
+    /// (`#[inline]` because those callers sit in other codegen units and
+    /// the in-process loop is ~120 ns per fetch: a real call shows.)
+    #[inline]
     fn serve_group(&self, request_id: u64, files: &[FileId]) -> GroupReply {
         let files: Vec<FileReply> = files
             .iter()
@@ -307,7 +301,7 @@ impl BoundServer {
         if listener.set_nonblocking(true).is_err() {
             return; // cannot serve readiness-style without it
         }
-        let dedup = Mutex::new(ReplyCache::new(dedup_capacity));
+        let dedup = ExactlyOnce::new(ReplyCache::new(dedup_capacity));
         let shared = Shared::new();
         let backend = &*backend;
         let shutdown = &*shutdown;
@@ -520,10 +514,10 @@ impl Shared {
     }
 }
 
-/// One worker: pops jobs, executes them against the backend (with the
-/// same exactly-once discipline as ever — see [`serve_fetch`]), encodes
-/// the reply into a pooled buffer, and posts the completion.
-fn worker_loop(shared: &Shared, backend: &dyn ServeBackend, dedup: &Mutex<ReplyCache>) {
+/// One worker: pops jobs, executes them against the backend (fetches
+/// exactly-once per request id, through `dedup`), encodes the reply into
+/// a pooled buffer, and posts the completion.
+fn worker_loop(shared: &Shared, backend: &dyn ServeBackend, dedup: &ExactlyOnce) {
     while let Some(job) = shared.next_job() {
         let reply = match job.kind {
             JobKind::Fetch {
@@ -531,7 +525,14 @@ fn worker_loop(shared: &Shared, backend: &dyn ServeBackend, dedup: &Mutex<ReplyC
                 files,
                 owned,
             } => {
-                let reply = serve_fetch(backend, dedup, request_id, &files, owned);
+                // `owned` selects the depth-bounded cluster proxy path.
+                let reply = dedup.serve(request_id, || {
+                    if owned {
+                        backend.serve_owned(request_id, &files)
+                    } else {
+                        backend.serve_group(request_id, &files)
+                    }
+                });
                 shared.recycle_file_buf(files);
                 Message::FetchReply {
                     request_id: reply.request_id,
@@ -540,7 +541,7 @@ fn worker_loop(shared: &Shared, backend: &dyn ServeBackend, dedup: &Mutex<ReplyC
             }
             JobKind::Stats { request_id } => {
                 let mut stats = backend.wire_stats();
-                stats.reply_cache_hits += lock_dedup(dedup).hits();
+                stats.reply_cache_hits += dedup.hits();
                 Message::StatsReply { request_id, stats }
             }
             JobKind::ClusterUpdate {
@@ -1046,57 +1047,6 @@ fn complete_inline(conn: &mut Conn, seq: u64, reply: &Message, shared: &Shared) 
     let mut frame = shared.take_frame_buf();
     reply.encode_into(&mut frame);
     conn.completed.push((seq, frame));
-}
-
-fn lock_dedup(dedup: &Mutex<ReplyCache>) -> MutexGuard<'_, ReplyCache> {
-    dedup
-        .lock()
-        .expect("a worker panicked while holding the reply cache")
-}
-
-/// Serves one fetch, exactly-once per request id (see the [module
-/// docs](self)). `owned` selects the depth-bounded
-/// [`ServeBackend::serve_owned`] path.
-///
-/// For backends that [serialise](ServeBackend::serializes_execution), the
-/// reply cache is held across execution, so a racing retry blocks rather
-/// than double-executing. Backends that deduplicate internally execute
-/// outside the lock (the get/insert around execution is then merely a
-/// fast path; the backend's own dedup supplies exactly-once).
-fn serve_fetch(
-    backend: &dyn ServeBackend,
-    dedup: &Mutex<ReplyCache>,
-    request_id: u64,
-    files: &[FileId],
-    owned: bool,
-) -> GroupReply {
-    {
-        let mut guard = lock_dedup(dedup);
-        if let Some(remembered) = guard.get(request_id) {
-            return remembered.clone();
-        }
-        if backend.serializes_execution() {
-            let reply = execute(backend, request_id, files, owned);
-            guard.insert(reply.clone());
-            return reply;
-        }
-    }
-    let reply = execute(backend, request_id, files, owned);
-    lock_dedup(dedup).insert(reply.clone());
-    reply
-}
-
-fn execute(
-    backend: &dyn ServeBackend,
-    request_id: u64,
-    files: &[FileId],
-    owned: bool,
-) -> GroupReply {
-    if owned {
-        backend.serve_owned(request_id, files)
-    } else {
-        backend.serve_group(request_id, files)
-    }
 }
 
 #[cfg(test)]

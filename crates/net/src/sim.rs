@@ -26,6 +26,7 @@ use fgcache_types::rng::{RandomSource, SplitMix64};
 use fgcache_types::{AccessOutcome, TransportError};
 
 use crate::dedup::{ReplyCache, DEFAULT_REPLY_CACHE_CAPACITY};
+use crate::server::ServeBackend as _;
 use crate::transport::{FileReply, GroupReply, GroupRequest, Transport, TransportStats};
 
 /// What a [`SimTransport`] fetches from.
@@ -58,10 +59,11 @@ pub struct SimTransport<'a> {
 }
 
 impl<'a> SimTransport<'a> {
-    /// A transport fetching from the origin store, with zero jitter.
-    pub fn to_origin(model: CostModel) -> SimTransport<'static> {
+    /// A zero-jitter transport over `backend` with a default-window reply
+    /// cache of its own — it *is* the simulated server.
+    fn over(backend: SimBackend<'a>, model: CostModel) -> Self {
         SimTransport {
-            backend: SimBackend::Origin,
+            backend,
             model,
             jitter_frac: 0.0,
             jitter: SplitMix64::new(0),
@@ -70,17 +72,15 @@ impl<'a> SimTransport<'a> {
         }
     }
 
+    /// A transport fetching from the origin store, with zero jitter.
+    pub fn to_origin(model: CostModel) -> SimTransport<'static> {
+        SimTransport::over(SimBackend::Origin, model)
+    }
+
     /// A transport fetching through a shared server cache, with zero
     /// jitter.
     pub fn to_shared(cache: &'a ShardedAggregatingCache, model: CostModel) -> SimTransport<'a> {
-        SimTransport {
-            backend: SimBackend::Shared(cache),
-            model,
-            jitter_frac: 0.0,
-            jitter: SplitMix64::new(0),
-            dedup: ReplyCache::new(DEFAULT_REPLY_CACHE_CAPACITY),
-            stats: TransportStats::default(),
-        }
+        SimTransport::over(SimBackend::Shared(cache), model)
     }
 
     /// A `'static` transport fetching through a shared, `Arc`-owned
@@ -89,14 +89,7 @@ impl<'a> SimTransport<'a> {
         cache: Arc<ShardedAggregatingCache>,
         model: CostModel,
     ) -> SimTransport<'static> {
-        SimTransport {
-            backend: SimBackend::SharedOwned(cache),
-            model,
-            jitter_frac: 0.0,
-            jitter: SplitMix64::new(0),
-            dedup: ReplyCache::new(DEFAULT_REPLY_CACHE_CAPACITY),
-            stats: TransportStats::default(),
-        }
+        SimTransport::over(SimBackend::SharedOwned(cache), model)
     }
 
     /// Enables per-request latency jitter: each request's latency is
@@ -132,21 +125,20 @@ impl<'a> SimTransport<'a> {
     /// Executes one request at the backend (no dedup, no clock), returning
     /// the reply and updating executed-fetch counters.
     fn execute(&mut self, request: &GroupRequest) -> GroupReply {
-        let files: Vec<FileReply> = request
-            .files
-            .iter()
-            .map(|&file| {
-                let outcome = match self.backend {
-                    SimBackend::Origin => AccessOutcome::Miss,
-                    SimBackend::Shared(cache) => cache.handle_access(file),
-                    SimBackend::SharedOwned(ref cache) => cache.handle_access(file),
-                };
-                FileReply { file, outcome }
-            })
-            .collect();
-        let reply = GroupReply {
-            request_id: request.request_id,
-            files,
+        let (id, files) = (request.request_id, &request.files[..]);
+        let reply = match self.backend {
+            SimBackend::Origin => GroupReply {
+                request_id: id,
+                files: files
+                    .iter()
+                    .map(|&file| FileReply {
+                        file,
+                        outcome: AccessOutcome::Miss,
+                    })
+                    .collect(),
+            },
+            SimBackend::Shared(cache) => cache.serve_group(id, files),
+            SimBackend::SharedOwned(ref cache) => cache.serve_group(id, files),
         };
         self.stats.requests += 1;
         self.stats.files_moved += reply.files.len() as u64;

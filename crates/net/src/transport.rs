@@ -22,6 +22,8 @@
 use fgcache_core::ShardedAggregatingCache;
 use fgcache_types::{AccessOutcome, FileId, TransportError};
 
+use crate::server::ServeBackend as _;
+
 /// Builds a namespaced request id: client `namespace` in the top 16 bits,
 /// per-client sequence number below. Keeps concurrent clients' ids
 /// disjoint so server-side reply deduplication never collides.
@@ -104,8 +106,8 @@ pub struct TransportStats {
     pub dedup_hits: u64,
     /// Hits in a reply cache *owned by this transport stack* — the
     /// server-side view of `dedup_hits`, populated by transports that
-    /// embed a reply cache (e.g. `SimTransport`) and by cluster nodes;
-    /// real servers export theirs via
+    /// embed a reply cache (e.g. `SimTransport`); real servers export
+    /// theirs via
     /// [`WireStats::reply_cache_hits`](crate::WireStats::reply_cache_hits).
     pub reply_cache_hits: u64,
     /// Retry attempts made by a retrying decorator.
@@ -202,21 +204,10 @@ impl<'a> DirectTransport<'a> {
 
 impl Transport for DirectTransport<'_> {
     fn fetch_group(&mut self, request: &GroupRequest) -> Result<GroupReply, TransportError> {
-        let files: Vec<FileReply> = request
-            .files
-            .iter()
-            .map(|&file| FileReply {
-                file,
-                outcome: self.cache.handle_access(file),
-            })
-            .collect();
+        let reply = self.cache.serve_group(request.request_id, &request.files);
         self.stats.requests += 1;
         self.stats.round_trips += 1;
-        self.stats.files_moved += files.len() as u64;
-        let reply = GroupReply {
-            request_id: request.request_id,
-            files,
-        };
+        self.stats.files_moved += reply.files.len() as u64;
         self.stats.hits += reply.hits();
         self.stats.misses += reply.misses();
         Ok(reply)

@@ -466,6 +466,18 @@ fn ci(root: &Path, miri: bool) -> ExitCode {
     if bench_smoke(root, None) != ExitCode::SUCCESS {
         return ExitCode::FAILURE;
     }
+    // The benchmark package is outside the workspace; its own gate is
+    // what catches API drift in the crates it path-depends on.
+    println!("==> benchmark/check.sh");
+    let ok = Command::new(root.join("benchmark/check.sh"))
+        .current_dir(root)
+        .status()
+        .map(|s| s.success())
+        .unwrap_or(false);
+    if !ok {
+        eprintln!("xtask ci: step failed: benchmark/check.sh");
+        return ExitCode::FAILURE;
+    }
     // The extended-seed fuzz pass rides on the build the test step made.
     if fuzz(root) != ExitCode::SUCCESS {
         return ExitCode::FAILURE;
