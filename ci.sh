@@ -39,6 +39,9 @@ cargo test -q -p fgcache-types --features fgcache_model
 echo "==> model checker: cargo test -q -p fgcache-core --features fgcache_model --lib"
 cargo test -q -p fgcache-core --features fgcache_model --lib
 
+echo "==> model checker: cargo test -q -p fgcache-net --features fgcache_model --lib"
+cargo test -q -p fgcache-net --features fgcache_model --lib
+
 echo "==> loopback smoke: bench-net differential check (byte-exact vs in-process)"
 ./target/release/fgcache bench-net --loopback true --clients 2 --events 2000 \
     --capacity 200 --shards 2 --batch 1,8 --seed 2002

@@ -61,12 +61,15 @@
 //!            client.stats().round_trips);
 //! ```
 
-#![forbid(unsafe_code)]
+// One audited FFI call lives in `poller`; `xtask lint` holds the crate to
+// exactly that one `unsafe` block.
+#![deny(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod client;
 pub mod dedup;
 pub mod fault;
+mod poller;
 pub mod retry;
 pub mod server;
 pub mod sim;

@@ -9,13 +9,28 @@
 //! # Architecture
 //!
 //! One **readiness loop** owns every socket. The listener and all
-//! connections are nonblocking; each loop iteration accepts new
-//! connections (up to [`DEFAULT_MAX_CONNS`] or the
-//! [`BoundServer::with_max_conns`] override), collects finished work,
-//! flushes partially-written replies, and reads whatever bytes have
-//! arrived, reassembling frames with a per-connection partial-read state
-//! machine. Connection count is no longer bounded by thread count and an
-//! idle connection costs a few hundred bytes, not a stack.
+//! connections are nonblocking; each pass accepts new connections (up to
+//! [`DEFAULT_MAX_CONNS`] or the [`BoundServer::with_max_conns`]
+//! override), collects finished work, flushes partially-written replies,
+//! and reads the connections known to have bytes, reassembling frames
+//! with a per-connection partial-read state machine. Connection count is
+//! not bounded by thread count and an idle connection costs a few hundred
+//! bytes, not a stack.
+//!
+//! A pass that makes no progress **blocks in `poll(2)`** (the private
+//! `poller` module) on exactly what could change that: the waker; the
+//! listener, while below the connection cap; and per connection, input
+//! iff the loop is willing to read it (see *Backpressure*) and output iff
+//! reply bytes are queued. A connection with neither is left out, so a
+//! backpressured peer that hangs up cannot spin the loop. Whatever the
+//! kernel reports — hang-up and error bits included — marks the
+//! connection readable, and the next `read` finds out which it was; the
+//! mark is cleared when a `read` would block. Workers wake the loop
+//! through the waker after queueing a completion, as does
+//! [`ServerHandle::stop`]. Nothing else needs the loop's attention
+//! between events except a [`BoundServer::shutdown_flag`] stored from
+//! outside and the drain deadline, which it notices by waking every
+//! 50 ms regardless.
 //!
 //! Decoded requests are handed to a **bounded worker pool** (a
 //! `Mutex<VecDeque>` + `Condvar` job queue; [`DEFAULT_WORKERS`] threads
@@ -52,6 +67,8 @@
 //!
 //! Stopping is cooperative: a client sends `Shutdown` (or the owner calls
 //! [`ServerHandle::stop`], or sets the [`BoundServer::shutdown_flag`]).
+//! `stop` and `Shutdown` take effect at once; a bare store to the flag is
+//! seen within one 50 ms tick.
 //! The loop then stops accepting and stops reading, drains in-flight jobs
 //! and flushes every queued reply (bounded by a two-second drain
 //! deadline), closes the job queue so the workers exit, and returns. The
@@ -61,7 +78,7 @@
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -70,6 +87,7 @@ use fgcache_core::ShardedAggregatingCache;
 use fgcache_types::FileId;
 
 use crate::dedup::{ExactlyOnce, ReplyCache, DEFAULT_REPLY_CACHE_CAPACITY};
+use crate::poller::{self, PollFd, Waker};
 use crate::transport::{FileReply, GroupReply};
 use crate::wire::{decode_fetch_into, Message, WireStats, MAX_FRAME_LEN};
 
@@ -88,21 +106,11 @@ pub const DEFAULT_MAX_PENDING: usize = 128;
 /// at the bound; see the [module docs](self) for the true total bound.
 pub const DEFAULT_MAX_OUTBOUND_BYTES: usize = 256 * 1024;
 
-/// How long the loop sleeps per iteration once fully idle (after a few
-/// plain yields); bounds added latency for the first frame after a lull.
-const IDLE_SLEEP: Duration = Duration::from_micros(500);
-
-/// Idle iterations spent on `yield_now` before sleeping — on a busy or
-/// single-core host this hands the CPU straight to the workers.
-const YIELD_SPINS: u32 = 4;
-
-/// A connection with no recent activity is scanned for readable bytes
-/// only every this-many iterations, so hundreds of idle connections cost
-/// a handful of read syscalls per iteration instead of one each.
-const COLD_SCAN_PERIOD: u64 = 32;
-
-/// Iterations of "hot" status granted by any progress on a connection.
-const HOT_ITERS: u64 = 64;
+/// How long a blocked loop waits with nothing ready before it looks up
+/// anyway. Sockets, completions and `stop()` all wake it; the tick exists
+/// for the two things that cannot — a shutdown flag stored from outside
+/// and the drain deadline.
+const TICK_MS: i32 = 50;
 
 /// Upper bound on the shutdown drain (in-flight jobs + queued replies).
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(2);
@@ -187,6 +195,7 @@ pub struct BoundServer {
     listener: TcpListener,
     backend: Arc<dyn ServeBackend>,
     shutdown: Arc<AtomicBool>,
+    shared: Arc<Shared>,
     dedup_capacity: usize,
     max_conns: usize,
     workers: usize,
@@ -221,7 +230,8 @@ impl BoundServer {
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure.
+    /// Propagates the bind failure (or the failure to create the loop's
+    /// wake-up socket pair).
     pub fn bind_backend(
         addr: &str,
         backend: Arc<impl ServeBackend + 'static>,
@@ -231,6 +241,7 @@ impl BoundServer {
             listener,
             backend,
             shutdown: Arc::new(AtomicBool::new(false)),
+            shared: Arc::new(Shared::new()?),
             dedup_capacity: DEFAULT_REPLY_CACHE_CAPACITY,
             max_conns: DEFAULT_MAX_CONNS,
             workers: DEFAULT_WORKERS,
@@ -280,7 +291,8 @@ impl BoundServer {
     }
 
     /// The shared shutdown flag (for embedding the server under an
-    /// external signal handler).
+    /// external signal handler). A store to it is noticed within one
+    /// 50 ms tick; [`ServerHandle::stop`] does not wait for the tick.
     pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.shutdown)
     }
@@ -292,6 +304,7 @@ impl BoundServer {
             listener,
             backend,
             shutdown,
+            shared,
             dedup_capacity,
             max_conns,
             workers,
@@ -302,11 +315,10 @@ impl BoundServer {
             return; // cannot serve readiness-style without it
         }
         let dedup = ExactlyOnce::new(ReplyCache::new(dedup_capacity));
-        let shared = Shared::new();
         let backend = &*backend;
         let shutdown = &*shutdown;
         let dedup = &dedup;
-        let shared = &shared;
+        let shared = &*shared;
         thread::scope(|scope| {
             for _ in 0..workers.max(1) {
                 scope.spawn(move || worker_loop(shared, backend, dedup));
@@ -316,7 +328,10 @@ impl BoundServer {
                 slots: Vec::new(),
                 free: Vec::new(),
                 live: 0,
-                iter: 0,
+                accept_pending: true,
+                accept_failed: false,
+                fds: Vec::new(),
+                polled: Vec::new(),
                 max_conns: max_conns.max(1),
                 max_pending: max_pending.max(1),
                 max_outbound: max_outbound.max(1),
@@ -334,21 +349,31 @@ impl BoundServer {
     pub fn spawn(self) -> ServerHandle {
         let addr = self.local_addr();
         let shutdown = Arc::clone(&self.shutdown);
+        let shared = Arc::clone(&self.shared);
         let join = thread::spawn(move || self.run());
         ServerHandle {
             addr,
             shutdown,
+            shared,
             join,
         }
     }
 }
 
 /// A running server on a background thread (from [`BoundServer::spawn`]).
-#[derive(Debug)]
 pub struct ServerHandle {
     addr: String,
     shutdown: Arc<AtomicBool>,
+    shared: Arc<Shared>,
     join: thread::JoinHandle<()>,
+}
+
+impl std::fmt::Debug for ServerHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ServerHandle")
+            .field("addr", &self.addr)
+            .finish_non_exhaustive()
+    }
 }
 
 impl ServerHandle {
@@ -357,11 +382,36 @@ impl ServerHandle {
         &self.addr
     }
 
-    /// Stops the server: sets the flag, waits for the loop to drain
-    /// in-flight replies and the workers to exit.
+    /// Stops the server: sets the flag, wakes the loop, waits for it to
+    /// drain in-flight replies and for the workers to exit.
     pub fn stop(self) {
         self.shutdown.store(true, Ordering::Release);
+        self.shared.waker.wake();
         self.join.join().expect("server thread panicked");
+    }
+
+    /// A view of the loop's counters that outlives [`stop`](Self::stop).
+    #[doc(hidden)]
+    pub fn loop_counters(&self) -> LoopCounters {
+        LoopCounters(Arc::clone(&self.shared))
+    }
+}
+
+/// Test hook: what the readiness loop has done, in units that do not
+/// depend on the host's speed.
+#[doc(hidden)]
+#[derive(Clone)]
+pub struct LoopCounters(Arc<Shared>);
+
+impl LoopCounters {
+    /// Passes the loop has made over its connection table.
+    pub fn passes(&self) -> u64 {
+        self.0.passes.load(Ordering::Relaxed)
+    }
+
+    /// Times the blocked loop woke with nothing ready: one per idle tick.
+    pub fn poll_timeouts(&self) -> u64 {
+        self.0.poll_timeouts.load(Ordering::Relaxed)
     }
 }
 
@@ -405,29 +455,38 @@ struct JobQueue {
     closed: bool,
 }
 
-/// State shared between the readiness loop and the worker pool: the job
-/// queue, the completion queue, and scratch-buffer pools that keep the
-/// per-frame steady state allocation-free.
+/// State shared between the readiness loop, the worker pool and the
+/// server's handle: the job queue, the completion queue and the waker
+/// that announces it, scratch-buffer pools that keep the per-frame steady
+/// state allocation-free, and two counters of what the loop has done.
 struct Shared {
     jobs: Mutex<JobQueue>,
     jobs_ready: Condvar,
     done: Mutex<Vec<Done>>,
+    waker: Waker,
     frame_bufs: Mutex<Vec<Vec<u8>>>,
     file_bufs: Mutex<Vec<Vec<FileId>>>,
+    /// Passes the loop has made over the connection table.
+    passes: AtomicU64,
+    /// Waits that ended with nothing ready (the tick).
+    poll_timeouts: AtomicU64,
 }
 
 impl Shared {
-    fn new() -> Self {
-        Shared {
+    fn new() -> std::io::Result<Self> {
+        Ok(Shared {
             jobs: Mutex::new(JobQueue {
                 queue: VecDeque::new(),
                 closed: false,
             }),
             jobs_ready: Condvar::new(),
             done: Mutex::new(Vec::new()),
+            waker: Waker::new()?,
             frame_bufs: Mutex::new(Vec::new()),
             file_bufs: Mutex::new(Vec::new()),
-        }
+            passes: AtomicU64::new(0),
+            poll_timeouts: AtomicU64::new(0),
+        })
     }
 
     fn push_job(&self, job: Job) {
@@ -464,11 +523,13 @@ impl Shared {
             .expect("a worker panicked while holding the job queue")
     }
 
+    /// Queues a completion, then wakes the loop to collect it.
     fn push_done(&self, done: Done) {
         self.done
             .lock()
             .expect("the server loop panicked while holding the completion queue")
             .push(done);
+        self.waker.wake();
     }
 
     /// Swaps the completion queue into `into` (reusing its storage).
@@ -516,7 +577,7 @@ impl Shared {
 
 /// One worker: pops jobs, executes them against the backend (fetches
 /// exactly-once per request id, through `dedup`), encodes the reply into
-/// a pooled buffer, and posts the completion.
+/// a pooled buffer, and posts the completion (which wakes the loop).
 fn worker_loop(shared: &Shared, backend: &dyn ServeBackend, dedup: &ExactlyOnce) {
     while let Some(job) = shared.next_job() {
         let reply = match job.kind {
@@ -597,15 +658,16 @@ struct Conn {
     /// Released-but-unwritten reply bytes; `write_pos` marks progress.
     outbound: Vec<u8>,
     write_pos: usize,
-    /// Iteration until which this connection is scanned every pass.
-    hot_until: u64,
+    /// The socket may have bytes (or an EOF or error) to read: set when
+    /// `poll` reports anything for it, cleared when a `read` would block.
+    readable: bool,
     read_eof: bool,
     close_after_flush: bool,
     dead: bool,
 }
 
 impl Conn {
-    fn new(stream: TcpStream, hot_until: u64) -> Self {
+    fn new(stream: TcpStream) -> Self {
         Conn {
             stream,
             phase: ReadPhase::Header { filled: 0 },
@@ -617,7 +679,8 @@ impl Conn {
             completed: Vec::new(),
             outbound: Vec::new(),
             write_pos: 0,
-            hot_until,
+            // A new client usually sends at once: try before polling.
+            readable: true,
             read_eof: false,
             close_after_flush: false,
             dead: false,
@@ -649,7 +712,17 @@ struct EventLoop {
     slots: Vec<Slot>,
     free: Vec<usize>,
     live: usize,
-    iter: u64,
+    /// The listener may have a connection waiting: set from its `revents`,
+    /// cleared when `accept` would block.
+    accept_pending: bool,
+    /// `accept` failed for a reason waiting on the listener cannot cure
+    /// (e.g. `EMFILE`): it sits out the next wait, so the failure costs a
+    /// tick at most instead of a busy loop.
+    accept_failed: bool,
+    /// The wait set (reused across waits) and, for its connection
+    /// entries, their slots.
+    fds: Vec<PollFd>,
+    polled: Vec<usize>,
     max_conns: usize,
     max_pending: usize,
     max_outbound: usize,
@@ -659,16 +732,15 @@ impl EventLoop {
     fn run(&mut self, shared: &Shared, shutdown: &AtomicBool) {
         let mut done_batch: Vec<Done> = Vec::new();
         let mut drain_deadline: Option<Instant> = None;
-        let mut idle_spins: u32 = 0;
         loop {
-            self.iter += 1;
+            shared.passes.fetch_add(1, Ordering::Relaxed);
             let draining = shutdown.load(Ordering::Acquire);
             if draining && drain_deadline.is_none() {
                 drain_deadline = Some(Instant::now() + DRAIN_TIMEOUT);
             }
             let mut progress = false;
-            if !draining {
-                progress |= self.accept_ready(shared);
+            if !draining && self.accept_pending {
+                progress |= self.accept_ready();
             }
             progress |= self.route_completions(shared, &mut done_batch);
             progress |= self.pump_connections(shared, shutdown, draining);
@@ -678,14 +750,66 @@ impl EventLoop {
             {
                 break;
             }
-            if progress {
-                idle_spins = 0;
-            } else {
-                idle_spins = idle_spins.saturating_add(1);
-                if idle_spins <= YIELD_SPINS {
-                    thread::yield_now();
-                } else {
-                    thread::sleep(IDLE_SLEEP);
+            if !progress {
+                self.wait_for_events(draining, shared);
+            }
+        }
+    }
+
+    /// Blocks until something the loop could act on happens, or a tick
+    /// passes, and records what the kernel reported.
+    fn wait_for_events(&mut self, draining: bool, shared: &Shared) {
+        self.fds.clear();
+        self.polled.clear();
+        self.fds.push(shared.waker.poll_fd());
+        let listening = !draining && !self.accept_failed && self.live < self.max_conns;
+        if listening {
+            self.fds.push(PollFd::new(&self.listener, poller::READ));
+        }
+        for (idx, slot) in self.slots.iter().enumerate() {
+            let Some(conn) = &slot.conn else { continue };
+            let mut events = 0;
+            if !draining
+                && !conn.read_eof
+                && !conn.close_after_flush
+                && may_read(
+                    conn.pending,
+                    conn.backlog(),
+                    self.max_pending,
+                    self.max_outbound,
+                )
+            {
+                events |= poller::READ;
+            }
+            if conn.backlog() > 0 {
+                events |= poller::WRITE;
+            }
+            // No interest, no entry: `poll` reports hang-ups whether asked
+            // or not, and this connection could do nothing about one.
+            if events != 0 {
+                self.fds.push(PollFd::new(&conn.stream, events));
+                self.polled.push(idx);
+            }
+        }
+
+        if poller::wait(&mut self.fds, TICK_MS) == 0 {
+            shared.poll_timeouts.fetch_add(1, Ordering::Relaxed);
+        }
+
+        let mut entries = self.fds.iter();
+        if entries.next().is_some_and(PollFd::ready) {
+            shared.waker.reset();
+        }
+        if listening {
+            self.accept_pending = entries.next().is_some_and(PollFd::ready);
+        } else if self.accept_failed {
+            self.accept_failed = false;
+            self.accept_pending = true;
+        }
+        for (entry, &idx) in entries.zip(&self.polled) {
+            if entry.ready() {
+                if let Some(conn) = self.slots[idx].conn.as_mut() {
+                    conn.readable = true;
                 }
             }
         }
@@ -694,7 +818,7 @@ impl EventLoop {
     /// Accepts until the listener would block or the cap is reached.
     /// At the cap, accepting simply stops: pending connections wait in
     /// the kernel backlog (deferred, not refused) until a slot frees.
-    fn accept_ready(&mut self, _shared: &Shared) -> bool {
+    fn accept_ready(&mut self) -> bool {
         let mut progress = false;
         while self.live < self.max_conns {
             match self.listener.accept() {
@@ -703,7 +827,7 @@ impl EventLoop {
                         continue; // cannot serve it; drop cleanly
                     }
                     let _ = stream.set_nodelay(true);
-                    let conn = Conn::new(stream, self.iter + HOT_ITERS);
+                    let conn = Conn::new(stream);
                     match self.free.pop() {
                         Some(slot) => self.slots[slot].conn = Some(conn),
                         None => self.slots.push(Slot {
@@ -714,9 +838,16 @@ impl EventLoop {
                     self.live += 1;
                     progress = true;
                 }
-                Err(err) if err.kind() == ErrorKind::WouldBlock => break,
+                Err(err) if err.kind() == ErrorKind::WouldBlock => {
+                    self.accept_pending = false;
+                    break;
+                }
                 Err(err) if err.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => break, // transient (e.g. EMFILE); retry next pass
+                Err(_) => {
+                    self.accept_pending = false;
+                    self.accept_failed = true;
+                    break;
+                }
             }
         }
         progress
@@ -726,25 +857,22 @@ impl EventLoop {
     /// buffers, dropping any whose slot generation no longer matches.
     fn route_completions(&mut self, shared: &Shared, batch: &mut Vec<Done>) -> bool {
         shared.drain_done(batch);
-        let mut progress = !batch.is_empty();
+        let progress = !batch.is_empty();
         for done in batch.drain(..) {
             let slot = &mut self.slots[done.slot];
             match slot.conn.as_mut() {
                 Some(conn) if slot.generation == done.generation && !conn.dead => {
                     conn.completed.push((done.seq, done.frame));
-                    conn.hot_until = self.iter + HOT_ITERS;
                 }
-                _ => {
-                    shared.recycle_frame_buf(done.frame);
-                    progress = true;
-                }
+                _ => shared.recycle_frame_buf(done.frame),
             }
         }
         progress
     }
 
     /// Per connection: release in-order completions, flush writes, then
-    /// read and dispatch new frames (unless draining or backpressured).
+    /// read and dispatch new frames (if readable, and unless draining or
+    /// backpressured).
     fn pump_connections(&mut self, shared: &Shared, shutdown: &AtomicBool, draining: bool) -> bool {
         let mut progress = false;
         for slot_idx in 0..self.slots.len() {
@@ -753,23 +881,17 @@ impl EventLoop {
             let generation = *generation;
             progress |= release_ready(conn, shared);
             progress |= write_ready(conn);
-            if !draining && !conn.dead && !conn.read_eof && !conn.close_after_flush {
-                let hot = self.iter < conn.hot_until;
-                if hot || self.iter.is_multiple_of(COLD_SCAN_PERIOD) {
-                    let read = read_ready(
-                        conn,
-                        slot_idx,
-                        generation,
-                        shared,
-                        shutdown,
-                        self.max_pending,
-                        self.max_outbound,
-                    );
-                    if read {
-                        conn.hot_until = self.iter + HOT_ITERS;
-                    }
-                    progress |= read;
-                }
+            if !draining && conn.readable && !conn.dead && !conn.read_eof && !conn.close_after_flush
+            {
+                progress |= read_ready(
+                    conn,
+                    slot_idx,
+                    generation,
+                    shared,
+                    shutdown,
+                    self.max_pending,
+                    self.max_outbound,
+                );
             }
             // A peer that closed its write side is parted with once every
             // reply it is owed has been flushed.
@@ -870,7 +992,8 @@ fn write_ready(conn: &mut Conn) -> bool {
 }
 
 /// Reads every byte the socket has ready (respecting the backpressure
-/// bounds), reassembling frames and dispatching each complete one.
+/// bounds), reassembling frames and dispatching each complete one. Stops
+/// with `readable` still set when a bound, not the socket, ended it.
 fn read_ready(
     conn: &mut Conn,
     slot: usize,
@@ -915,7 +1038,10 @@ fn read_ready(
                             break;
                         }
                     }
-                    Err(err) if err.kind() == ErrorKind::WouldBlock => break,
+                    Err(err) if err.kind() == ErrorKind::WouldBlock => {
+                        conn.readable = false;
+                        break;
+                    }
                     Err(err) if err.kind() == ErrorKind::Interrupted => continue,
                     Err(_) => {
                         conn.dead = true;
@@ -939,7 +1065,10 @@ fn read_ready(
                         conn.phase = ReadPhase::Header { filled: 0 };
                         dispatch_frame(conn, slot, generation, shared, shutdown);
                     }
-                    Err(err) if err.kind() == ErrorKind::WouldBlock => break,
+                    Err(err) if err.kind() == ErrorKind::WouldBlock => {
+                        conn.readable = false;
+                        break;
+                    }
                     Err(err) if err.kind() == ErrorKind::Interrupted => continue,
                     Err(_) => {
                         conn.dead = true;

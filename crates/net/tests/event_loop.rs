@@ -1,14 +1,17 @@
 //! Event-loop integration tests: backpressure, slow clients, the
 //! connection cap, and frames arriving one byte at a time — the failure
 //! modes a readiness loop owns that a thread-per-connection server never
-//! saw.
+//! saw — and what the loop costs while it waits, asserted on its pass and
+//! time-out counters rather than on the clock.
 
-use std::io::{Read as _, Write as _};
+use std::io::{ErrorKind, Read as _, Write as _};
 use std::net::TcpStream;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use fgcache_core::{ShardedAggregatingCache, ShardedAggregatingCacheBuilder};
+use fgcache_net::server::LoopCounters;
 use fgcache_net::wire::{read_frame, write_frame};
 use fgcache_net::{BoundServer, GroupRequest, Message, NetClient, ServerHandle, Transport};
 use fgcache_types::FileId;
@@ -37,6 +40,179 @@ fn fetch_frame(id: u64, files: &[u64]) -> Vec<u8> {
         files: files.iter().map(|&f| FileId(f)).collect(),
     }
     .encode()
+}
+
+/// The loop's documented tick: how often it looks up with nothing ready.
+const TICK: Duration = Duration::from_millis(50);
+
+/// Blocks until the loop has next slept through a whole tick with nothing
+/// to do — "idle", in a form no host speed changes — and returns the
+/// time-out count. (The deadline only turns a hang into a failure.)
+fn wait_for_idle_tick(counters: &LoopCounters) -> u64 {
+    let before = counters.poll_timeouts();
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while counters.poll_timeouts() == before {
+        assert!(
+            Instant::now() < deadline,
+            "the loop never sat out a tick: it is spinning, or it does not tick"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    counters.poll_timeouts()
+}
+
+/// Passes made since `(passes, time-outs)` was sampled that no tick
+/// accounts for.
+fn unforced_passes(counters: &LoopCounters, since: (u64, u64)) -> u64 {
+    let passes = counters.passes() - since.0;
+    let ticks = counters.poll_timeouts() - since.1;
+    passes.saturating_sub(ticks)
+}
+
+#[test]
+fn silent_connections_cost_one_pass_per_tick_and_wake_in_constant_passes() {
+    let handle = bound(100).spawn();
+    let counters = handle.loop_counters();
+    let mut clients: Vec<NetClient> = (0..8)
+        .map(|_| NetClient::connect(handle.addr()).expect("connect"))
+        .collect();
+    for (i, client) in clients.iter_mut().enumerate() {
+        client.fetch_group(&req(i as u64, &[1])).expect("warm-up");
+    }
+
+    // Silence: the only passes are the ones the tick forces, and ticks
+    // cannot come faster than the clock allows. (The loop this replaced
+    // made ~700 passes here, and no time-outs at all.)
+    wait_for_idle_tick(&counters);
+    let start = (counters.passes(), counters.poll_timeouts());
+    let began = Instant::now();
+    std::thread::sleep(Duration::from_millis(400));
+    let ticks = counters.poll_timeouts() - start.1;
+    let most_ticks = (began.elapsed().as_millis() / TICK.as_millis()) as u64 + 1;
+    assert!(ticks >= 1 && ticks <= most_ticks, "{ticks} ticks");
+    assert!(
+        unforced_passes(&counters, start) <= 1,
+        "an idle loop passed {} times in {ticks} ticks",
+        counters.passes() - start.0
+    );
+
+    // The first fetch on each long-quiet connection costs a handful of
+    // passes (read + dispatch, completion + write, and a look around
+    // before each block), not a scan period.
+    for (i, client) in clients.iter_mut().enumerate() {
+        let before = (counters.passes(), counters.poll_timeouts());
+        client
+            .fetch_group(&req(100 + i as u64, &[2]))
+            .expect("first fetch after silence");
+        let added = unforced_passes(&counters, before);
+        assert!(added <= 8, "one fetch cost {added} passes");
+    }
+    handle.stop();
+}
+
+#[test]
+fn stop_wakes_the_loop_and_a_bare_flag_store_is_seen_within_a_tick() {
+    // stop() on an idle server: the loop is woken, so it exits without a
+    // further time-out. A tick can still land between the sample and the
+    // stop, so up to three servers are tried; a loop that had to wait for
+    // its tick would show a time-out every time.
+    let woken = (0..3).any(|_| {
+        let handle = bound(50).spawn();
+        let counters = handle.loop_counters();
+        let before = wait_for_idle_tick(&counters);
+        handle.stop();
+        counters.poll_timeouts() == before
+    });
+    assert!(
+        woken,
+        "stop() waited for the tick instead of waking the loop"
+    );
+
+    // A store to the flag alone, with nobody waking the loop: it exits at
+    // its next tick. A silent connection sees the server go (EOF) without
+    // this test touching the handle.
+    let server = bound(50);
+    let flag = server.shutdown_flag();
+    let handle = server.spawn();
+    let counters = handle.loop_counters();
+    let mut witness = TcpStream::connect(handle.addr()).expect("connect");
+    witness
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    wait_for_idle_tick(&counters);
+    flag.store(true, Ordering::Release);
+    let before = counters.poll_timeouts();
+    let mut rest = Vec::new();
+    witness
+        .read_to_end(&mut rest)
+        .expect("the server closes once it sees the flag");
+    assert!(rest.is_empty());
+    handle.stop();
+    assert!(
+        counters.poll_timeouts() <= before + 1,
+        "the flag was not seen at the first tick after it was stored"
+    );
+}
+
+#[test]
+fn backpressured_connection_with_a_full_send_buffer_does_not_spin_the_loop() {
+    // The stall of `slow_reader_backpressure_…`, made certain: a client
+    // that writes requests until the kernel refuses more and never reads.
+    // The server's reply buffer is over its cap and its socket will take
+    // no more, so it reads nothing either — and must then *wait*: the
+    // connection is out of the read set, and a full send buffer is not
+    // write-ready.
+    let handle = bound(400).with_queue_limits(16, 2 * 1024).spawn();
+    let counters = handle.loop_counters();
+    let mut brisk = NetClient::connect(handle.addr()).expect("brisk connect");
+    let slow = TcpStream::connect(handle.addr()).expect("slow connect");
+    slow.set_nonblocking(true).expect("nonblocking");
+    let files: Vec<u64> = (0..100).collect();
+    let frame = fetch_frame(7, &files);
+    // Writes until refused; a torn last frame is fine, it is never read.
+    let fill = || loop {
+        match (&slow).write(&frame) {
+            Ok(_) => {}
+            Err(err) if err.kind() == ErrorKind::WouldBlock => break,
+            Err(err) => panic!("pipelining failed: {err}"),
+        }
+    };
+
+    // The kernel squeezes a little more room out of full buffers for a
+    // while, so a stall is judged after the fact: three ticks across
+    // which the server executed nothing and the client could write
+    // nothing. Over those, only the ticks may have cost passes (a flush
+    // into freed buffer space that stops short of un-stalling the reads
+    // may add a wake or two).
+    let stalled = (0..200).find_map(|_| {
+        fill();
+        let executed = brisk.server_stats().expect("stats").accesses;
+        wait_for_idle_tick(&counters);
+        let start = (counters.passes(), counters.poll_timeouts());
+        while counters.poll_timeouts() < start.1 + 3 {
+            wait_for_idle_tick(&counters);
+        }
+        let unforced = unforced_passes(&counters, start);
+        let refused =
+            matches!((&slow).write(&frame), Err(err) if err.kind() == ErrorKind::WouldBlock);
+        (refused && brisk.server_stats().expect("stats").accesses == executed).then_some(unforced)
+    });
+    let unforced = stalled.expect("the connection never stalled");
+    assert!(unforced <= 4, "a stalled connection cost {unforced} passes");
+
+    // Other connections are served in a handful of passes each, as ever.
+    let before = (counters.passes(), counters.poll_timeouts());
+    brisk.fetch_group(&req(2, &[4])).expect("brisk fetch");
+    assert!(unforced_passes(&counters, before) <= 8);
+
+    // The stalled peer hangs up with replies still queued for it: the
+    // loop drops the connection and goes back to sleep.
+    drop(slow);
+    wait_for_idle_tick(&counters);
+    brisk
+        .fetch_group(&req(3, &[5]))
+        .expect("healthy after the hang-up");
+    handle.stop();
 }
 
 #[test]

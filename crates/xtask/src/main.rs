@@ -15,8 +15,13 @@
 //!    `[dev-dependencies]` and `[build-dependencies]` entry in every
 //!    workspace manifest must name another workspace crate. Any external
 //!    crate fails the gate; the workspace builds from `std` alone.
-//! 2. **Crate attributes** — every crate root carries
-//!    `#![forbid(unsafe_code)]` and `#![deny(missing_docs)]`.
+//! 2. **Unsafe confinement and crate attributes** — every crate root
+//!    carries `#![deny(missing_docs)]` and `#![forbid(unsafe_code)]`,
+//!    except `fgcache-net`, which carries `#![deny(unsafe_code)]`: its
+//!    `src/poller.rs` holds the workspace's one FFI call (`poll(2)`, from
+//!    the libc `std` already links). Under every `src/` tree that file
+//!    is the only one that may contain an `unsafe` block or an `extern`
+//!    declaration — one of each, the block under a `// SAFETY:` comment.
 //! 3. **Panic-free library code** — no `.unwrap()`, `todo!()` or
 //!    `unimplemented!()` outside `#[cfg(test)]` modules in any `src/`
 //!    file (`.expect("why")` is allowed: it documents the invariant).
@@ -187,14 +192,15 @@ fn lint(root: &Path) -> ExitCode {
     let mut violations = Vec::new();
     check_dependency_allowlist(root, &members, &allowed, &mut violations);
     check_crate_attributes(&members, &mut violations);
+    check_unsafe_confinement(&members, &mut violations);
     check_panic_free_sources(&members, &mut violations);
     check_lock_discipline(&members, &mut violations);
     check_socket_confinement(&members, &mut violations);
 
     if violations.is_empty() {
         println!(
-            "xtask lint: {} crates clean (allowlist, attributes, panic-free sources, \
-             lock discipline, socket confinement)",
+            "xtask lint: {} crates clean (allowlist, attributes, unsafe confinement, \
+             panic-free sources, lock discipline, socket confinement)",
             members.len()
         );
         ExitCode::SUCCESS
@@ -323,7 +329,7 @@ fn bench_smoke(root: &Path, threads: Option<u64>) -> ExitCode {
 /// With `miri` true, adds the interpreter job (visibly skipped when the
 /// nightly Miri toolchain is not installed).
 fn ci(root: &Path, miri: bool) -> ExitCode {
-    let steps: [(&str, &[&str]); 6] = [
+    let steps: [(&str, &[&str]); 7] = [
         ("cargo fmt --check", &["fmt", "--check"]),
         (
             "cargo clippy --workspace --all-targets -- -D warnings",
@@ -359,6 +365,18 @@ fn ci(root: &Path, miri: bool) -> ExitCode {
                 "-q",
                 "-p",
                 "fgcache-core",
+                "--features",
+                "fgcache_model",
+                "--lib",
+            ],
+        ),
+        (
+            "cargo test -q -p fgcache-net --features fgcache_model --lib (wake protocol)",
+            &[
+                "test",
+                "-q",
+                "-p",
+                "fgcache-net",
                 "--features",
                 "fgcache_model",
                 "--lib",
@@ -690,7 +708,24 @@ fn check_dependency_allowlist(
     }
 }
 
-/// Check 2: every crate root forbids unsafe code and denies missing docs.
+/// The one crate, and the one file under its `src/`, allowed an `unsafe`
+/// block and an `extern` declaration: the `poll(2)` call.
+const FFI_CRATE: &str = "fgcache-net";
+const FFI_FILE: &str = "poller.rs";
+
+/// The unsafe-code attribute a crate root must carry: `forbid` everywhere
+/// except the FFI crate, where `deny` lets the one audited function opt
+/// out (and [`check_unsafe_confinement`] holds it to that one).
+fn unsafe_code_attribute(crate_name: &str) -> &'static str {
+    if crate_name == FFI_CRATE {
+        "#![deny(unsafe_code)]"
+    } else {
+        "#![forbid(unsafe_code)]"
+    }
+}
+
+/// Check 2a: every crate root denies missing docs and forbids unsafe code
+/// (the FFI crate: denies it).
 fn check_crate_attributes(members: &[Member], violations: &mut Vec<Violation>) {
     for member in members {
         let Ok(text) = fs::read_to_string(&member.crate_root) else {
@@ -701,7 +736,10 @@ fn check_crate_attributes(members: &[Member], violations: &mut Vec<Violation>) {
             });
             continue;
         };
-        for required in ["#![forbid(unsafe_code)]", "#![deny(missing_docs)]"] {
+        for required in [
+            unsafe_code_attribute(&member.name),
+            "#![deny(missing_docs)]",
+        ] {
             if !text.lines().any(|l| l.trim() == required) {
                 violations.push(Violation {
                     file: member.crate_root.clone(),
@@ -710,6 +748,72 @@ fn check_crate_attributes(members: &[Member], violations: &mut Vec<Violation>) {
                 });
             }
         }
+    }
+}
+
+/// Check 2b: under every `src/` tree, `unsafe` and `extern` appear only in
+/// the FFI file. Token-based, like the socket scan: comments, strings and
+/// test-gated items do not count.
+fn check_unsafe_confinement(members: &[Member], violations: &mut Vec<Violation>) {
+    for member in members {
+        let ffi_file = member.src_dir.join(FFI_FILE);
+        for file in rust_sources(&member.src_dir) {
+            let Ok(text) = fs::read_to_string(&file) else {
+                continue;
+            };
+            let is_ffi_file = member.name == FFI_CRATE && file == ffi_file;
+            scan_unsafe_sites(&file, &text, is_ffi_file, violations);
+        }
+    }
+}
+
+/// Scans one source file: no `unsafe` or `extern` keyword at all, or — in
+/// the FFI file — exactly one `unsafe` directly under a `// SAFETY:`
+/// comment and at most one `extern`.
+fn scan_unsafe_sites(file: &Path, text: &str, is_ffi_file: bool, violations: &mut Vec<Violation>) {
+    let tokens = code_tokens(text);
+    let allowed = usize::from(is_ffi_file);
+    for keyword in ["unsafe", "extern"] {
+        let sites = tokens.iter().filter(|t| t.is_ident(keyword));
+        for site in sites.skip(allowed) {
+            violations.push(Violation {
+                file: file.to_path_buf(),
+                line: Some(site.line),
+                message: format!(
+                    "`{keyword}` outside the one audited FFI site — the workspace's only \
+                     `unsafe` block and `extern` declaration live in \
+                     crates/net/src/{FFI_FILE}, once each"
+                ),
+            });
+        }
+    }
+    if !is_ffi_file {
+        return;
+    }
+    let Some(site) = tokens.iter().find(|t| t.is_ident("unsafe")) else {
+        violations.push(Violation {
+            file: file.to_path_buf(),
+            line: None,
+            message: format!(
+                "no `unsafe` block left here — give {FFI_CRATE} back its \
+                 `#![forbid(unsafe_code)]` and drop this exemption"
+            ),
+        });
+        return;
+    };
+    let lines: Vec<&str> = text.lines().collect();
+    let justified = lines[..site.line - 1]
+        .iter()
+        .rev()
+        .map(|l| l.trim_start())
+        .take_while(|l| l.starts_with("//"))
+        .any(|l| l.starts_with("// SAFETY:"));
+    if !justified {
+        violations.push(Violation {
+            file: file.to_path_buf(),
+            line: Some(site.line),
+            message: "`unsafe` block without a `// SAFETY:` comment directly above it".into(),
+        });
     }
 }
 
@@ -1260,11 +1364,92 @@ mod tests {\n\
         let mut violations = Vec::new();
         check_dependency_allowlist(&root, &members, &allowed, &mut violations);
         check_crate_attributes(&members, &mut violations);
+        check_unsafe_confinement(&members, &mut violations);
         check_panic_free_sources(&members, &mut violations);
         check_lock_discipline(&members, &mut violations);
         check_socket_confinement(&members, &mut violations);
         let rendered: Vec<String> = violations.iter().map(Violation::to_string).collect();
         assert!(rendered.is_empty(), "violations: {rendered:#?}");
+    }
+
+    /// A stand-in for the FFI file: one declaration, one justified call.
+    const FFI_FIXTURE: &str = "\
+extern \"C\" {\n\
+    fn poll(fds: *mut u8) -> i32;\n\
+}\n\
+fn wait(fds: &mut [u8]) -> i32 {\n\
+    // SAFETY: the pointer is to a live, exclusively borrowed slice,\n\
+    // and the callee keeps nothing.\n\
+    unsafe { poll(fds.as_mut_ptr()) }\n\
+}\n";
+
+    fn unsafe_scan(src: &str, is_ffi_file: bool) -> Vec<Violation> {
+        let mut v = Vec::new();
+        scan_unsafe_sites(Path::new("x.rs"), src, is_ffi_file, &mut v);
+        v
+    }
+
+    #[test]
+    fn unsafe_scan_accepts_the_one_site_and_only_in_the_ffi_file() {
+        assert!(unsafe_scan(FFI_FIXTURE, true).is_empty());
+        // The same code anywhere else — another file of fgcache-net, or
+        // any other crate — is two violations: the block and the `extern`.
+        let elsewhere = unsafe_scan(FFI_FIXTURE, false);
+        assert_eq!(elsewhere.len(), 2, "{elsewhere:?}");
+        assert_eq!(elsewhere[0].line, Some(7));
+        assert_eq!(elsewhere[1].line, Some(1));
+    }
+
+    #[test]
+    fn unsafe_scan_flags_a_second_site_in_the_ffi_file() {
+        let second = format!(
+            "{FFI_FIXTURE}fn g(p: *const u8) -> u8 {{\n    // SAFETY: not good enough.\n    unsafe {{ *p }}\n}}\n"
+        );
+        let v = unsafe_scan(&second, true);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].line, Some(11));
+        let second_extern =
+            format!("{FFI_FIXTURE}extern \"C\" {{\n    fn close(fd: i32) -> i32;\n}}\n");
+        assert_eq!(unsafe_scan(&second_extern, true).len(), 1);
+    }
+
+    #[test]
+    fn unsafe_scan_wants_a_safety_comment_and_ignores_comments_strings_and_tests() {
+        let bare = FFI_FIXTURE.replace("// SAFETY:", "// Trust me:");
+        let v = unsafe_scan(&bare, true);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("SAFETY"));
+        let benign = "\
+// unsafe and extern in a comment\n\
+fn f() -> &'static str { \"unsafe extern\" }\n\
+#[cfg(test)]\n\
+mod tests {\n\
+    fn t(p: *const u8) -> u8 { unsafe { *p } }\n\
+}\n";
+        assert!(unsafe_scan(benign, false).is_empty());
+        // An FFI file with its call gone must hand the exemption back.
+        assert_eq!(unsafe_scan(benign, true).len(), 1);
+    }
+
+    #[test]
+    fn only_the_ffi_crate_may_downgrade_forbid_to_deny() {
+        assert_eq!(
+            unsafe_code_attribute("fgcache-net"),
+            "#![deny(unsafe_code)]"
+        );
+        for name in ["fgcache-core", "fgcache-cluster", "xtask", "fgcache"] {
+            assert_eq!(unsafe_code_attribute(name), "#![forbid(unsafe_code)]");
+        }
+        // The exemption is load-bearing: the file exists and is scanned
+        // as the FFI file, with its one block, on the real tree.
+        let root = workspace_root();
+        let net: Vec<Member> = workspace_members(&root)
+            .into_iter()
+            .filter(|m| m.name == FFI_CRATE)
+            .collect();
+        let text = fs::read_to_string(net[0].src_dir.join(FFI_FILE)).unwrap();
+        assert!(unsafe_scan(&text, true).is_empty());
+        assert_eq!(unsafe_scan(&text, false).len(), 2);
     }
 
     #[test]
