@@ -9,6 +9,10 @@
 //! onward, so proxy chains cannot loop even while membership views
 //! disagree mid-update.
 //!
+//! Behind a server, a fetch the node serves from its own cache runs on
+//! the server's readiness loop ([`ServeBackend::serve_inline`]); only a
+//! proxy, which waits on a peer, goes to the server's worker pool.
+//!
 //! Concurrent proxied misses for the same group collapse through
 //! [`SingleFlight`]. The node is routing plus single-flight in front of
 //! the cache and holds no exactly-once state of its own: retries reuse
@@ -159,24 +163,26 @@ impl ClusterNode {
             return m.view.epoch();
         }
         let ring = view.ring();
-        let departed: Vec<u64> = m
-            .peers
-            .keys()
-            .copied()
-            .filter(|&id| !ring.contains(NodeId(id)))
-            .collect();
-        for id in departed {
-            if let Some(peer) = m.peers.remove(&id) {
-                let stats = peer
-                    .lock()
-                    .expect("a proxy fetch panicked while holding a peer transport")
-                    .stats();
-                m.retired.merge(&stats);
+        let mut departed = Vec::new();
+        m.peers.retain(|&id, peer| {
+            let stays = ring.contains(NodeId(id));
+            if !stays {
+                departed.push(Arc::clone(peer));
             }
-        }
+            stays
+        });
         m.ring = ring;
         m.view = view;
-        m.view.epoch()
+        let epoch = m.view.epoch();
+        drop(m);
+        // A departed peer's transport may be mid-proxy on another thread:
+        // wait for it with the membership unlocked, so routing — a
+        // server's readiness loop included — never waits on a peer.
+        for peer in departed {
+            let stats = lock_peer(&peer).stats();
+            self.lock_membership().retired.merge(&stats);
+        }
+        epoch
     }
 
     /// Convenience for the membership driver: the next view with `node`
@@ -200,6 +206,20 @@ impl ClusterNode {
     /// ownership of the group's first (demand) file. This is the
     /// [`ServeBackend::serve_group`] entry point.
     pub fn serve(&self, request_id: u64, files: &[FileId]) -> GroupReply {
+        match self.serve_if_owned(request_id, files) {
+            Ok(reply) => reply,
+            Err((owner, addr)) => self.proxy(owner, &addr, request_id, files),
+        }
+    }
+
+    /// The one routing decision: serves the group from the local cache
+    /// if this node owns its demand file (or the ring is empty, or the
+    /// owner has no address), or returns the owner and its address.
+    fn serve_if_owned(
+        &self,
+        request_id: u64,
+        files: &[FileId],
+    ) -> Result<GroupReply, (NodeId, String)> {
         let target = files.first().and_then(|&demand| {
             let m = self.lock_membership();
             match m.ring.owner(demand) {
@@ -210,12 +230,17 @@ impl ClusterNode {
             }
         });
         match target {
-            None => {
-                self.lock_counters().local_serves += 1;
-                self.serve_local(request_id, files)
-            }
-            Some((owner, addr)) => self.proxy(owner, &addr, request_id, files),
+            None => Ok(self.serve_counted_local(request_id, files)),
+            Some(target) => Err(target),
         }
+    }
+
+    /// A local serve of a `Fetch`, counted in
+    /// [`ClusterNodeStats::local_serves`] — owned by this node, or a
+    /// proxy's fallback.
+    fn serve_counted_local(&self, request_id: u64, files: &[FileId]) -> GroupReply {
+        self.lock_counters().local_serves += 1;
+        self.serve_local(request_id, files)
     }
 
     /// Serves a group from the local cache, exactly as a standalone
@@ -230,9 +255,7 @@ impl ClusterNode {
         let key = flight_key(owner, files);
         let (result, collapsed) = self.flights.run(key, files, || {
             let peer = self.peer_transport(owner, addr)?;
-            let mut transport = peer
-                .lock()
-                .expect("a proxy fetch panicked while holding a peer transport");
+            let mut transport = lock_peer(&peer);
             transport.fetch_owned(&GroupRequest::new(request_id, files.to_vec()))
         });
         {
@@ -254,8 +277,7 @@ impl ClusterNode {
                 // The owner is unreachable after the transport's own
                 // retries: serve locally rather than fail the client.
                 self.lock_counters().proxy_failures += 1;
-                self.lock_counters().local_serves += 1;
-                self.serve_local(request_id, files)
+                self.serve_counted_local(request_id, files)
             }
         }
     }
@@ -293,16 +315,16 @@ impl ClusterNode {
     }
 
     /// Merged upstream traffic: every live peer transport plus the
-    /// retired ones.
+    /// retired ones. Peers are read with the membership unlocked (see
+    /// [`apply_view`](Self::apply_view)), so a reading taken during a
+    /// view change may miss a departing peer until the change completes.
     pub fn transport_stats(&self) -> TransportStats {
-        let m = self.lock_membership();
-        let mut merged = m.retired;
-        for peer in m.peers.values() {
-            let stats = peer
-                .lock()
-                .expect("a proxy fetch panicked while holding a peer transport")
-                .stats();
-            merged.merge(&stats);
+        let (mut merged, peers) = {
+            let m = self.lock_membership();
+            (m.retired, m.peers.values().cloned().collect::<Vec<_>>())
+        };
+        for peer in peers {
+            merged.merge(&lock_peer(&peer).stats());
         }
         merged
     }
@@ -332,6 +354,14 @@ impl ClusterNode {
     }
 }
 
+/// Locks a peer's transport, which a proxy holds across its round trip.
+fn lock_peer(
+    peer: &Mutex<Box<dyn Transport + Send>>,
+) -> std::sync::MutexGuard<'_, Box<dyn Transport + Send>> {
+    peer.lock()
+        .expect("a proxy fetch panicked while holding a peer transport")
+}
+
 impl ServeBackend for ClusterNode {
     fn serve_group(&self, request_id: u64, files: &[FileId]) -> GroupReply {
         self.serve(request_id, files)
@@ -342,6 +372,16 @@ impl ServeBackend for ClusterNode {
     fn serve_owned(&self, request_id: u64, files: &[FileId]) -> GroupReply {
         self.lock_counters().owned_serves += 1;
         self.serve_local(request_id, files)
+    }
+
+    /// Owned fetches and self-owned groups: a local serve never waits on
+    /// a peer. A group another node owns is declined, and proxied from
+    /// the server's worker pool.
+    fn serve_inline(&self, request_id: u64, files: &[FileId], owned: bool) -> Option<GroupReply> {
+        if owned {
+            return Some(self.serve_owned(request_id, files));
+        }
+        self.serve_if_owned(request_id, files).ok()
     }
 
     fn wire_stats(&self) -> WireStats {

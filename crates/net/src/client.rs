@@ -2,27 +2,33 @@
 //!
 //! A client holds a small pool of connections to one server. Group
 //! fetches become `Fetch` frames; [`Transport::fetch_batch`] pipelines a
-//! whole batch on one connection (write every frame, then read every
-//! reply), which is where the latency win of batching comes from on a
-//! real socket.
+//! whole batch on one connection — every frame encoded into one reused
+//! buffer and sent in one `write`, then every reply read back — which is
+//! where the latency win of batching comes from on a real socket.
+//! Replies are read through a buffer each connection keeps, so a batch's
+//! replies usually arrive in one `read`, and a steady exchange allocates
+//! nothing but the decoded reply.
 //!
 //! # Timeouts and pooling
 //!
 //! Every connection carries a read/write timeout. A connection that
 //! errors or times out is **dropped, not pooled**: a late reply to a
 //! timed-out request would otherwise desync the frame stream for the next
-//! request on that connection. Retrying is the job of
-//! [`RetryingTransport`](crate::RetryingTransport) layered on top — the
-//! retried request reuses its request id, so the server's reply cache
-//! makes the retry idempotent even though the original may have executed.
+//! request on that connection. For the same reason, so is a connection
+//! holding bytes no request of the exchange accounted for. Retrying is
+//! the job of [`RetryingTransport`](crate::RetryingTransport) layered on
+//! top — the retried request reuses its request id, so the server's reply
+//! cache makes the retry idempotent even though the original may have
+//! executed.
 
+use std::io::{ErrorKind, Write as _};
 use std::net::TcpStream;
 use std::time::Duration;
 
 use fgcache_types::{FileId, TransportError, TransportErrorKind};
 
 use crate::transport::{request_id, GroupReply, GroupRequest, Transport, TransportStats};
-use crate::wire::{io_to_transport, read_frame, write_frame, Message, WireStats};
+use crate::wire::{append_fetch, io_to_transport, FrameReader, Message, WireStats};
 
 /// Default per-operation socket timeout.
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(2);
@@ -32,15 +38,56 @@ pub const DEFAULT_POOL_SIZE: usize = 2;
 
 /// A pooled TCP client for a group-fetch server. See the
 /// [module docs](self).
-#[derive(Debug)]
 pub struct NetClient {
     addr: String,
-    pool: Vec<TcpStream>,
+    pool: Vec<Conn>,
     pool_size: usize,
     timeout: Duration,
     namespace: u64,
     next_seq: u64,
     stats: TransportStats,
+    /// The frames of the exchange being sent; reused across exchanges.
+    out: Vec<u8>,
+}
+
+impl std::fmt::Debug for NetClient {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("NetClient")
+            .field("addr", &self.addr)
+            .field("pooled", &self.pool.len())
+            .field("timeout", &self.timeout)
+            .field("namespace", &self.namespace)
+            .field("stats", &self.stats)
+            .finish_non_exhaustive()
+    }
+}
+
+/// One pooled connection and the bytes read from it but not yet decoded.
+struct Conn {
+    stream: TcpStream,
+    inbound: FrameReader,
+}
+
+impl Conn {
+    /// Reads and decodes the next reply, blocking up to the timeout.
+    fn read_reply(&mut self) -> Result<Message, TransportError> {
+        loop {
+            if let Some(payload) = self.inbound.next_frame()? {
+                return Message::decode(payload);
+            }
+            match self.inbound.read_from(&mut self.stream) {
+                Ok(0) => {
+                    return Err(TransportError::new(
+                        TransportErrorKind::ConnectionLost,
+                        "the server closed the connection mid-reply",
+                    ))
+                }
+                Ok(_) => {}
+                Err(err) if err.kind() == ErrorKind::Interrupted => {}
+                Err(err) => return Err(io_to_transport(err)),
+            }
+        }
+    }
 }
 
 impl NetClient {
@@ -60,6 +107,7 @@ impl NetClient {
             namespace: 0,
             next_seq: 0,
             stats: TransportStats::default(),
+            out: Vec::new(),
         };
         let probe = client.open_connection()?;
         client.check_in(probe);
@@ -98,9 +146,13 @@ impl NetClient {
 
     /// Builds the next [`GroupRequest`] in this client's id sequence.
     pub fn next_request(&mut self, files: Vec<FileId>) -> GroupRequest {
+        GroupRequest::new(self.next_id(), files)
+    }
+
+    fn next_id(&mut self) -> u64 {
         let id = request_id(self.namespace, self.next_seq);
         self.next_seq += 1;
-        GroupRequest::new(id, files)
+        id
     }
 
     /// Asks the server for its cache counters — the remote equivalent of
@@ -110,13 +162,10 @@ impl NetClient {
     ///
     /// Returns a [`TransportError`] on connection or protocol failure.
     pub fn server_stats(&mut self) -> Result<WireStats, TransportError> {
-        let request = self.next_request(Vec::new());
-        let reply = self.round_trip(&Message::StatsRequest {
-            request_id: request.request_id,
-        })?;
-        match reply {
+        let request_id = self.next_id();
+        match self.round_trip(&Message::StatsRequest { request_id })? {
             Message::StatsReply { stats, .. } => Ok(stats),
-            other => Err(unexpected(&other).with_request_id(request.request_id)),
+            other => Err(unexpected(&other).with_request_id(request_id)),
         }
     }
 
@@ -133,9 +182,9 @@ impl NetClient {
         epoch: u64,
         members: &[(u64, String)],
     ) -> Result<u64, TransportError> {
-        let request = self.next_request(Vec::new());
+        let request_id = self.next_id();
         let reply = self.round_trip(&Message::ClusterUpdate {
-            request_id: request.request_id,
+            request_id,
             epoch,
             members: members.to_vec(),
         })?;
@@ -145,8 +194,8 @@ impl NetClient {
                 TransportErrorKind::Protocol,
                 format!("cluster update rejected: {message}"),
             )
-            .with_request_id(request.request_id)),
-            other => Err(unexpected(&other).with_request_id(request.request_id)),
+            .with_request_id(request_id)),
+            other => Err(unexpected(&other).with_request_id(request_id)),
         }
     }
 
@@ -156,17 +205,14 @@ impl NetClient {
     ///
     /// Returns a [`TransportError`] on connection or protocol failure.
     pub fn send_shutdown(&mut self) -> Result<(), TransportError> {
-        let request = self.next_request(Vec::new());
-        let reply = self.round_trip(&Message::Shutdown {
-            request_id: request.request_id,
-        })?;
-        match reply {
+        let request_id = self.next_id();
+        match self.round_trip(&Message::Shutdown { request_id })? {
             Message::ShutdownAck { .. } => Ok(()),
-            other => Err(unexpected(&other).with_request_id(request.request_id)),
+            other => Err(unexpected(&other).with_request_id(request_id)),
         }
     }
 
-    fn open_connection(&self) -> Result<TcpStream, TransportError> {
+    fn open_connection(&self) -> Result<Conn, TransportError> {
         let stream = TcpStream::connect(&self.addr).map_err(io_to_transport)?;
         stream.set_nodelay(true).map_err(io_to_transport)?;
         stream
@@ -175,38 +221,55 @@ impl NetClient {
         stream
             .set_write_timeout(Some(self.timeout))
             .map_err(io_to_transport)?;
-        Ok(stream)
+        Ok(Conn {
+            stream,
+            inbound: FrameReader::default(),
+        })
     }
 
-    fn check_out(&mut self) -> Result<TcpStream, TransportError> {
-        match self.pool.pop() {
-            Some(stream) => Ok(stream),
-            None => self.open_connection(),
-        }
+    /// Takes a pooled connection (or opens one) and writes the frames in
+    /// `out` to it in one `write`: one round trip, however many frames.
+    fn send(&mut self) -> Result<Conn, TransportError> {
+        let mut conn = match self.pool.pop() {
+            Some(conn) => conn,
+            None => self.open_connection()?,
+        };
+        self.stats.round_trips += 1;
+        conn.stream.write_all(&self.out).map_err(io_to_transport)?;
+        Ok(conn)
     }
 
-    fn check_in(&mut self, stream: TcpStream) {
-        if self.pool.len() < self.pool_size {
-            self.pool.push(stream);
+    /// Pools `conn` after a successful exchange, unless the pool is full
+    /// or the connection holds bytes the exchange did not account for.
+    fn check_in(&mut self, conn: Conn) {
+        if conn.inbound.is_drained() && self.pool.len() < self.pool_size {
+            self.pool.push(conn);
         }
     }
 
     /// One request/reply exchange. The connection returns to the pool
     /// only on success; any failure drops it (see the module docs).
     fn round_trip(&mut self, message: &Message) -> Result<Message, TransportError> {
-        let mut stream = self.check_out()?;
-        let exchange = (|| {
-            write_frame(&mut stream, message).map_err(io_to_transport)?;
-            read_frame(&mut stream)
-        })();
-        self.stats.round_trips += 1;
-        match exchange {
-            Ok(reply) => {
-                self.check_in(stream);
-                Ok(reply)
-            }
-            Err(err) => Err(err.with_request_id(message.request_id())),
-        }
+        message.encode_into(&mut self.out);
+        self.exchange(message.request_id())
+    }
+
+    /// Sends the one frame in `out` and reads its reply.
+    fn exchange(&mut self, request_id: u64) -> Result<Message, TransportError> {
+        let reply = self.send().and_then(|mut conn| {
+            let reply = conn.read_reply()?;
+            self.check_in(conn);
+            Ok(reply)
+        });
+        reply.map_err(|err| err.with_request_id(request_id))
+    }
+
+    /// One fetch exchange: `Fetch`, or `FetchOwned` if `owned`.
+    fn fetch(&mut self, request: &GroupRequest, owned: bool) -> Result<GroupReply, TransportError> {
+        self.out.clear();
+        append_fetch(&mut self.out, request.request_id, &request.files, owned);
+        let reply = self.exchange(request.request_id)?;
+        self.accept_fetch_reply(request, reply)
     }
 
     /// Interprets a server reply to a fetch, updating counters when it is
@@ -248,50 +311,30 @@ fn unexpected(reply: &Message) -> TransportError {
 
 impl Transport for NetClient {
     fn fetch_group(&mut self, request: &GroupRequest) -> Result<GroupReply, TransportError> {
-        let reply = self.round_trip(&Message::Fetch {
-            request_id: request.request_id,
-            files: request.files.clone(),
-        })?;
-        self.accept_fetch_reply(request, reply)
+        self.fetch(request, false)
     }
 
     /// Sends the v2 `FetchOwned` frame, telling the receiving node to
     /// serve the group itself rather than proxy it onward.
     fn fetch_owned(&mut self, request: &GroupRequest) -> Result<GroupReply, TransportError> {
-        let reply = self.round_trip(&Message::FetchOwned {
-            request_id: request.request_id,
-            files: request.files.clone(),
-        })?;
-        self.accept_fetch_reply(request, reply)
+        self.fetch(request, true)
     }
 
     /// Pipelines the whole batch on one connection: every `Fetch` frame is
-    /// written before any reply is read, so the batch pays one
-    /// round-trip's worth of latency instead of one per request.
+    /// written, in one `write`, before any reply is read, so the batch
+    /// pays one round-trip's worth of latency instead of one per request.
     fn fetch_batch(&mut self, batch: &[GroupRequest]) -> Vec<Result<GroupReply, TransportError>> {
         if batch.is_empty() {
             return Vec::new();
         }
-        let mut stream = match self.check_out() {
-            Ok(s) => s,
-            Err(err) => {
-                return batch
-                    .iter()
-                    .map(|r| {
-                        Err(TransportError::new(err.kind(), err.detail())
-                            .with_request_id(r.request_id))
-                    })
-                    .collect()
-            }
-        };
-        self.stats.round_trips += 1;
+        self.out.clear();
         for request in batch {
-            let frame = Message::Fetch {
-                request_id: request.request_id,
-                files: request.files.clone(),
-            };
-            if let Err(err) = write_frame(&mut stream, &frame).map_err(io_to_transport) {
-                // Connection is gone; every request in the batch fails.
+            append_fetch(&mut self.out, request.request_id, &request.files, false);
+        }
+        let mut conn = match self.send() {
+            Ok(conn) => conn,
+            Err(err) => {
+                // No connection, or it is gone: every request fails.
                 return batch
                     .iter()
                     .map(|r| {
@@ -300,7 +343,7 @@ impl Transport for NetClient {
                     })
                     .collect();
             }
-        }
+        };
         let mut results = Vec::with_capacity(batch.len());
         let mut broken = false;
         for request in batch {
@@ -312,7 +355,7 @@ impl Transport for NetClient {
                 .with_request_id(request.request_id)));
                 continue;
             }
-            match read_frame(&mut stream) {
+            match conn.read_reply() {
                 Ok(reply) => results.push(self.accept_fetch_reply(request, reply)),
                 Err(err) => {
                     broken = true;
@@ -321,7 +364,7 @@ impl Transport for NetClient {
             }
         }
         if !broken {
-            self.check_in(stream);
+            self.check_in(conn);
         }
         results
     }

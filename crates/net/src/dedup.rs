@@ -15,8 +15,11 @@
 //! until the claim completes and then receives the remembered reply.
 //! Because nothing is held across execution, an execution may block on
 //! another server (a cluster proxy) without deadlocking two servers
-//! against each other. The simulated transports embed a plain
-//! [`ReplyCache`]: they are single-threaded, so nothing can race.
+//! against each other. A thread that must never park — the server's
+//! readiness loop — claims with [`ExactlyOnce::try_serve`] instead, and
+//! hands a request it cannot finish to one that may. The simulated
+//! transports embed a plain [`ReplyCache`]: they are single-threaded, so
+//! nothing can race.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -160,18 +163,53 @@ impl ExactlyOnce {
         }
         state.executing.push(request_id);
         drop(state);
-
         let reply = execute();
+        self.finish(request_id, Some(&reply));
+        reply
+    }
 
+    /// [`serve`](Self::serve) for a thread that must never park (the
+    /// server's readiness loop): the remembered reply if there is one;
+    /// `None` at once if the id is executing elsewhere; otherwise the id
+    /// is claimed and `execute()` runs. An execution that declines
+    /// (`None`) releases the claim and wakes any retry parked on it, so
+    /// the caller can hand the request to [`serve`](Self::serve) on a
+    /// thread that may block.
+    pub fn try_serve(
+        &self,
+        request_id: u64,
+        execute: impl FnOnce() -> Option<GroupReply>,
+    ) -> Option<GroupReply> {
+        if !self.enabled {
+            return execute();
+        }
+        let mut state = self.lock();
+        if let Some(remembered) = state.cache.get(request_id) {
+            return Some(remembered.clone());
+        }
+        if state.executing.contains(&request_id) {
+            return None;
+        }
+        state.executing.push(request_id);
+        drop(state);
+        let reply = execute();
+        self.finish(request_id, reply.as_ref());
+        reply
+    }
+
+    /// Releases the claim on `request_id`, remembering its reply if it
+    /// executed, and wakes the retries parked on it.
+    fn finish(&self, request_id: u64, reply: Option<&GroupReply>) {
         let mut state = self.lock();
         state.executing.retain(|&id| id != request_id);
-        state.cache.insert(reply.clone());
+        if let Some(reply) = reply {
+            state.cache.insert(reply.clone());
+        }
         let wake = state.parked > 0;
         drop(state);
         if wake {
             self.finished.notify_all();
         }
-        reply
     }
 
     /// Retries answered from the window so far (see [`ReplyCache::hits`]).
@@ -274,6 +312,81 @@ mod tests {
         });
         assert_eq!(runs.load(Ordering::Relaxed), 1, "the retry never executed");
         assert_eq!(once.hits(), 1, "the retry was answered from the window");
+        assert!(once.lock().executing.is_empty());
+    }
+
+    #[test]
+    fn try_claim_answers_a_remembered_id_without_executing() {
+        let once = ExactlyOnce::new(ReplyCache::new(4));
+        once.serve(7, || reply(7));
+        let answered = once.try_serve(7, || panic!("a remembered id must not execute"));
+        assert_eq!(answered, Some(reply(7)));
+        assert_eq!(once.hits(), 1);
+    }
+
+    #[test]
+    fn try_claim_of_an_id_executing_elsewhere_returns_at_once() {
+        use std::sync::mpsc::channel;
+
+        let once = &ExactlyOnce::new(ReplyCache::new(4));
+        let (entered_tx, entered_rx) = channel();
+        let (release_tx, release_rx) = channel::<()>();
+        std::thread::scope(|scope| {
+            let first = scope.spawn(move || {
+                once.serve(7, || {
+                    entered_tx.send(()).expect("driver alive");
+                    release_rx.recv().expect("driver alive");
+                    reply(7)
+                })
+            });
+            entered_rx.recv().expect("first claim executing");
+            // Neither executes nor parks: this thread would hang otherwise.
+            let declined = once.try_serve(7, || panic!("the id is claimed elsewhere"));
+            assert_eq!(declined, None);
+            assert_eq!(once.lock().parked, 0);
+            release_tx.send(()).expect("first claim alive");
+            first.join().expect("first claim");
+        });
+        assert_eq!(once.hits(), 0, "a declined try-claim is not a hit");
+    }
+
+    #[test]
+    fn declined_execution_releases_the_claim_and_wakes_a_parked_retry() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        let (once, runs) = (&ExactlyOnce::new(ReplyCache::new(4)), &AtomicU64::new(0));
+        // Declined with nobody waiting: the id is left unclaimed, and a
+        // later `serve` executes it.
+        assert_eq!(once.try_serve(5, || None), None);
+        assert!(once.lock().executing.is_empty());
+        once.serve(5, || {
+            runs.fetch_add(1, Ordering::Relaxed);
+            reply(5)
+        });
+        assert_eq!(runs.load(Ordering::Relaxed), 1);
+
+        // Declined with a retry parked behind the claim: the retry wakes,
+        // claims the id itself and executes it.
+        std::thread::scope(|scope| {
+            let mut retry = None;
+            let declined = once.try_serve(9, || {
+                retry = Some(scope.spawn(move || {
+                    once.serve(9, || {
+                        runs.fetch_add(1, Ordering::Relaxed);
+                        reply(9)
+                    })
+                }));
+                while once.lock().parked == 0 {
+                    std::thread::yield_now();
+                }
+                None
+            });
+            assert_eq!(declined, None);
+            let retry = retry.expect("spawned").join().expect("woken retry");
+            assert_eq!(retry, reply(9));
+        });
+        assert_eq!(runs.load(Ordering::Relaxed), 2, "the retry executed");
+        assert_eq!(once.hits(), 0);
         assert!(once.lock().executing.is_empty());
     }
 

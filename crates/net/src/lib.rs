@@ -19,8 +19,8 @@
 //! 3. **A real TCP path**: a length-prefixed binary [wire protocol](wire),
 //!    an event-driven [`BoundServer`] ([`server`]) wrapping a
 //!    [`ShardedAggregatingCache`](fgcache_core::ShardedAggregatingCache)
-//!    behind a readiness loop and a bounded worker pool, and a pooled
-//!    [`NetClient`] ([`client`]).
+//!    behind a readiness loop that serves what cannot block and a bounded
+//!    worker pool for what can, and a pooled [`NetClient`] ([`client`]).
 //!
 //! # Idempotency by request id
 //!
@@ -28,9 +28,9 @@
 //! most once per request id**. Retries re-send the same id; servers (real
 //! and simulated) remember recent replies in a bounded [`ReplyCache`]
 //! ([`dedup`]) and re-deliver rather than re-execute, and a real server's
-//! workers share it as an [`ExactlyOnce`], so a retry racing its original
-//! waits for it instead of executing beside it. This is what makes
-//! a networked run produce *byte-identical* cache statistics to an
+//! loop and workers share it as an [`ExactlyOnce`], so a retry racing its
+//! original waits for it instead of executing beside it. This is what
+//! makes a networked run produce *byte-identical* cache statistics to an
 //! in-process run even when the network loses replies — which the
 //! loopback differential test demands.
 //!

@@ -12,10 +12,14 @@
 //! connections are nonblocking; each pass accepts new connections (up to
 //! [`DEFAULT_MAX_CONNS`] or the [`BoundServer::with_max_conns`]
 //! override), collects finished work, flushes partially-written replies,
-//! and reads the connections known to have bytes, reassembling frames
-//! with a per-connection partial-read state machine. Connection count is
-//! not bounded by thread count and an idle connection costs a few hundred
-//! bytes, not a stack.
+//! and takes new frames. Each connection reads into its own buffer (a few
+//! KiB, allocated by its first read), so one `read` brings in every frame
+//! of a pipelined burst; complete frames are dispatched from the buffer
+//! whether or not the socket is readable, and the socket is read only
+//! when no complete frame is left. The replies to what a pass took are
+//! released and flushed in that same pass — a burst's replies leave in
+//! one `write`. Connection count is not bounded by thread count, and an
+//! idle connection costs its buffers, not a stack.
 //!
 //! A pass that makes no progress **blocks in `poll(2)`** (the private
 //! `poller` module) on exactly what could change that: the waker; the
@@ -25,32 +29,39 @@
 //! backpressured peer that hangs up cannot spin the loop. Whatever the
 //! kernel reports — hang-up and error bits included — marks the
 //! connection readable, and the next `read` finds out which it was; the
-//! mark is cleared when a `read` would block. Workers wake the loop
-//! through the waker after queueing a completion, as does
+//! mark is cleared when a `read` would block or comes back short. Workers
+//! wake the loop through the waker after queueing a completion, as does
 //! [`ServerHandle::stop`]. Nothing else needs the loop's attention
 //! between events except a [`BoundServer::shutdown_flag`] stored from
 //! outside and the drain deadline, which it notices by waking every
 //! 50 ms regardless.
 //!
-//! Decoded requests are handed to a **bounded worker pool** (a
-//! `Mutex<VecDeque>` + `Condvar` job queue; [`DEFAULT_WORKERS`] threads
-//! by default) so group fetches execute off the I/O loop. Workers may
-//! finish out of order, so every inbound frame gets a per-connection
-//! sequence number and completions sit in a small reorder buffer until
-//! they can be released *in request order* — the pipelined client matches
-//! replies to requests positionally, and that contract survives the
-//! worker pool.
+//! **A fetch runs to completion on the loop** when it cannot block: the
+//! backend's [`ServeBackend::serve_inline`] serves it (a plain cache
+//! always does; a cluster node does for groups it owns), and its request
+//! id is not executing elsewhere. Everything that may block goes to a
+//! **bounded worker pool** (a `Mutex<VecDeque>` + `Condvar` job queue;
+//! [`DEFAULT_WORKERS`] threads by default): fetches a backend declines —
+//! a cluster proxy waits on a peer — and retries of an id still
+//! executing, which park there; `Stats` and `ClusterUpdate` too, since
+//! they read or rewrite backend state a worker may hold. Workers finish
+//! out of order, so every inbound frame gets a per-connection sequence
+//! number and completions sit in a small reorder buffer until they can be
+//! released *in request order* — the pipelined client matches replies to
+//! requests positionally, and that contract survives the worker pool.
 //!
 //! # Backpressure
 //!
-//! Per connection, two bounds gate *reading* (never writing): at most
-//! [`DEFAULT_MAX_PENDING`] requests may be in flight, and at most
+//! Per connection, two bounds gate *taking frames* (never writing): at
+//! most [`DEFAULT_MAX_PENDING`] requests may be in flight, and at most
 //! [`DEFAULT_MAX_OUTBOUND_BYTES`] reply bytes may sit unwritten. A slow
 //! reader's connection simply stops being read — its bytes stay in kernel
 //! buffers and the peer's send window closes — while every other
 //! connection proceeds untouched. Queued replies are always released and
 //! flushed, so total buffered output per connection is bounded by the
-//! outbound cap plus the replies to the (capped) in-flight requests.
+//! outbound cap plus the replies to the (capped) in-flight requests;
+//! buffered input, by the read buffer — its few KiB, or one frame larger
+//! than that while it is assembled.
 //!
 //! # Exactly-once fetches
 //!
@@ -59,7 +70,9 @@
 //! of a request id claims it and executes with no lock held; a retry
 //! racing it, possibly on a different pooled connection or a different
 //! worker, parks until the claim completes and receives the remembered
-//! reply, never double-executing. Fetches of different ids never wait on
+//! reply, never double-executing. The loop claims with
+//! [`ExactlyOnce::try_serve`], which never parks: it hands a retry of a
+//! claimed id to the pool instead. Fetches of different ids never wait on
 //! each other here, so a backend may block on a *peer's* server (a
 //! cluster node proxying) without two servers deadlocking.
 //!
@@ -76,7 +89,7 @@
 //! every reply the same connection pipelined ahead of it.
 
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read as _, Write as _};
+use std::io::{ErrorKind, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -89,13 +102,14 @@ use fgcache_types::FileId;
 use crate::dedup::{ExactlyOnce, ReplyCache, DEFAULT_REPLY_CACHE_CAPACITY};
 use crate::poller::{self, PollFd, Waker};
 use crate::transport::{FileReply, GroupReply};
-use crate::wire::{decode_fetch_into, Message, WireStats, MAX_FRAME_LEN};
+use crate::wire::{decode_fetch_into, FetchFrame, FrameReader, Message, WireStats};
 
 /// Default hard cap on concurrently-held connections; accepts beyond it
 /// are deferred to the kernel backlog until a slot frees.
 pub const DEFAULT_MAX_CONNS: usize = 1024;
 
-/// Default worker-pool size (threads executing fetches off the I/O loop).
+/// Default worker-pool size: the threads that run what may block, off
+/// the I/O loop (see the [module docs](self)).
 pub const DEFAULT_WORKERS: usize = 4;
 
 /// Default per-connection bound on requests in flight (dispatched but not
@@ -138,6 +152,16 @@ pub trait ServeBackend: Send + Sync {
         self.serve_group(request_id, files)
     }
 
+    /// Serves a fetch (an owned one if `owned`) on the calling thread —
+    /// the server's readiness loop — only if doing so cannot block: no
+    /// peer round trip, no wait on another thread. `None` sends the fetch
+    /// to the worker pool instead, and is the default, because a backend
+    /// the server knows nothing about may block.
+    fn serve_inline(&self, request_id: u64, files: &[FileId], owned: bool) -> Option<GroupReply> {
+        let _ = (request_id, files, owned);
+        None
+    }
+
     /// This backend's cache counters, for `StatsReply` (the server adds
     /// its own reply-cache hits on top).
     fn wire_stats(&self) -> WireStats;
@@ -170,6 +194,11 @@ impl ServeBackend for ShardedAggregatingCache {
             })
             .collect();
         GroupReply { request_id, files }
+    }
+
+    /// Always: even a miss is bounded CPU work under one shard lock.
+    fn serve_inline(&self, request_id: u64, files: &[FileId], _owned: bool) -> Option<GroupReply> {
+        Some(self.serve_group(request_id, files))
     }
 
     fn wire_stats(&self) -> WireStats {
@@ -333,10 +362,17 @@ impl BoundServer {
                 fds: Vec::new(),
                 polled: Vec::new(),
                 max_conns: max_conns.max(1),
-                max_pending: max_pending.max(1),
-                max_outbound: max_outbound.max(1),
+                dispatch: Dispatcher {
+                    shared,
+                    backend,
+                    dedup,
+                    shutdown,
+                    files: Vec::new(),
+                    max_pending: max_pending.max(1),
+                    max_outbound: max_outbound.max(1),
+                },
             };
-            event_loop.run(shared, shutdown);
+            event_loop.run();
             // Unblock the workers so the scope can join them. Jobs still
             // queued (only possible past the drain deadline) are executed
             // and their completions dropped.
@@ -631,22 +667,12 @@ fn worker_loop(shared: &Shared, backend: &dyn ServeBackend, dedup: &ExactlyOnce)
     }
 }
 
-/// Partial-read state: a frame header or body may arrive split across
-/// any number of reads (down to one byte each) and is reassembled here.
-enum ReadPhase {
-    /// Collecting the 4-byte length prefix.
-    Header { filled: usize },
-    /// Collecting `len` payload bytes.
-    Payload { filled: usize, len: usize },
-}
-
 /// Per-connection state owned by the readiness loop.
 struct Conn {
     stream: TcpStream,
-    phase: ReadPhase,
-    header: [u8; 4],
-    /// Reused payload scratch; capacity persists across frames.
-    payload: Vec<u8>,
+    /// Bytes read but not yet dispatched: whole frames of a burst, and
+    /// the head of one split across reads (down to one byte each).
+    inbound: FrameReader,
     /// Sequence number assigned to the next inbound frame.
     next_seq: u64,
     /// Sequence number of the next reply to release into `outbound`.
@@ -659,7 +685,8 @@ struct Conn {
     outbound: Vec<u8>,
     write_pos: usize,
     /// The socket may have bytes (or an EOF or error) to read: set when
-    /// `poll` reports anything for it, cleared when a `read` would block.
+    /// `poll` reports anything for it, cleared when a `read` would block
+    /// or comes back short.
     readable: bool,
     read_eof: bool,
     close_after_flush: bool,
@@ -670,9 +697,7 @@ impl Conn {
     fn new(stream: TcpStream) -> Self {
         Conn {
             stream,
-            phase: ReadPhase::Header { filled: 0 },
-            header: [0; 4],
-            payload: Vec::new(),
+            inbound: FrameReader::default(),
             next_seq: 0,
             next_release: 0,
             pending: 0,
@@ -693,8 +718,8 @@ impl Conn {
     }
 }
 
-/// Whether the loop may read more frames from a connection: both
-/// backpressure bounds must have room. Reading — never writing — is what
+/// Whether the loop may take more frames from a connection: both
+/// backpressure bounds must have room. Taking — never writing — is what
 /// stops, so a slow reader throttles itself without unbounded buffering.
 fn may_read(pending: usize, backlog_bytes: usize, max_pending: usize, max_outbound: usize) -> bool {
     pending < max_pending && backlog_bytes < max_outbound
@@ -707,7 +732,7 @@ struct Slot {
     conn: Option<Conn>,
 }
 
-struct EventLoop {
+struct EventLoop<'a> {
     listener: TcpListener,
     slots: Vec<Slot>,
     free: Vec<usize>,
@@ -724,12 +749,26 @@ struct EventLoop {
     fds: Vec<PollFd>,
     polled: Vec<usize>,
     max_conns: usize,
+    dispatch: Dispatcher<'a>,
+}
+
+/// What serving a connection's frames needs besides the connection.
+struct Dispatcher<'a> {
+    shared: &'a Shared,
+    backend: &'a dyn ServeBackend,
+    dedup: &'a ExactlyOnce,
+    shutdown: &'a AtomicBool,
+    /// The file list of the fetch being dispatched. It stays here when the
+    /// fetch runs on the loop; a fetch handed to the pool takes it along
+    /// and a pooled buffer replaces it.
+    files: Vec<FileId>,
     max_pending: usize,
     max_outbound: usize,
 }
 
-impl EventLoop {
-    fn run(&mut self, shared: &Shared, shutdown: &AtomicBool) {
+impl EventLoop<'_> {
+    fn run(&mut self) {
+        let (shared, shutdown) = (self.dispatch.shared, self.dispatch.shutdown);
         let mut done_batch: Vec<Done> = Vec::new();
         let mut drain_deadline: Option<Instant> = None;
         loop {
@@ -743,7 +782,7 @@ impl EventLoop {
                 progress |= self.accept_ready();
             }
             progress |= self.route_completions(shared, &mut done_batch);
-            progress |= self.pump_connections(shared, shutdown, draining);
+            progress |= self.pump_connections(draining);
             self.reap_dead(shared);
             if draining
                 && (self.fully_drained() || drain_deadline.is_some_and(|d| Instant::now() >= d))
@@ -772,12 +811,7 @@ impl EventLoop {
             if !draining
                 && !conn.read_eof
                 && !conn.close_after_flush
-                && may_read(
-                    conn.pending,
-                    conn.backlog(),
-                    self.max_pending,
-                    self.max_outbound,
-                )
+                && self.dispatch.may_read(conn)
             {
                 events |= poller::READ;
             }
@@ -870,34 +904,29 @@ impl EventLoop {
         progress
     }
 
-    /// Per connection: release in-order completions, flush writes, then
-    /// read and dispatch new frames (if readable, and unless draining or
-    /// backpressured).
-    fn pump_connections(&mut self, shared: &Shared, shutdown: &AtomicBool, draining: bool) -> bool {
+    /// Per connection: release in-order completions and flush them, take
+    /// new frames (unless draining or backpressured), and if any were
+    /// taken, release and flush again — so the replies to a burst leave
+    /// in the pass that read it, in one `write`.
+    fn pump_connections(&mut self, draining: bool) -> bool {
+        let shared = self.dispatch.shared;
         let mut progress = false;
-        for slot_idx in 0..self.slots.len() {
-            let Slot { generation, conn } = &mut self.slots[slot_idx];
+        for (slot, Slot { generation, conn }) in self.slots.iter_mut().enumerate() {
             let Some(conn) = conn.as_mut() else { continue };
-            let generation = *generation;
             progress |= release_ready(conn, shared);
             progress |= write_ready(conn);
-            if !draining && conn.readable && !conn.dead && !conn.read_eof && !conn.close_after_flush
-            {
-                progress |= read_ready(
-                    conn,
-                    slot_idx,
-                    generation,
-                    shared,
-                    shutdown,
-                    self.max_pending,
-                    self.max_outbound,
-                );
+            let took = !draining && self.dispatch.take_input(conn, slot, *generation);
+            if took {
+                release_ready(conn, shared);
+                write_ready(conn);
             }
             // A peer that closed its write side is parted with once every
-            // reply it is owed has been flushed.
-            if conn.read_eof && conn.pending == 0 && conn.backlog() == 0 {
+            // reply it is owed has been flushed and nothing it sent is
+            // left to take.
+            if conn.read_eof && !took && conn.pending == 0 && conn.backlog() == 0 {
                 conn.dead = true;
             }
+            progress |= took;
         }
         progress
     }
@@ -991,191 +1020,152 @@ fn write_ready(conn: &mut Conn) -> bool {
     progress
 }
 
-/// Reads every byte the socket has ready (respecting the backpressure
-/// bounds), reassembling frames and dispatching each complete one. Stops
-/// with `readable` still set when a bound, not the socket, ended it.
-fn read_ready(
-    conn: &mut Conn,
-    slot: usize,
-    generation: u64,
-    shared: &Shared,
-    shutdown: &AtomicBool,
-    max_pending: usize,
-    max_outbound: usize,
-) -> bool {
-    let mut progress = false;
-    while !conn.dead
-        && !conn.close_after_flush
-        && may_read(conn.pending, conn.backlog(), max_pending, max_outbound)
-    {
-        match conn.phase {
-            ReadPhase::Header { filled } => {
-                match conn.stream.read(&mut conn.header[filled..]) {
-                    Ok(0) => {
-                        conn.read_eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        progress = true;
-                        let filled = filled + n;
-                        if filled < 4 {
-                            conn.phase = ReadPhase::Header { filled };
-                            continue;
-                        }
-                        let len = u32::from_le_bytes(conn.header);
-                        if len > MAX_FRAME_LEN {
-                            conn.dead = true; // unframeable garbage
-                            break;
-                        }
-                        let len = len as usize;
-                        conn.payload.clear();
-                        conn.payload.resize(len, 0);
-                        conn.phase = ReadPhase::Payload { filled: 0, len };
-                        if len == 0 {
-                            // An empty payload can never decode; the
-                            // stream is desynced beyond recovery.
-                            conn.dead = true;
-                            break;
-                        }
-                    }
-                    Err(err) if err.kind() == ErrorKind::WouldBlock => {
-                        conn.readable = false;
-                        break;
-                    }
-                    Err(err) if err.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.dead = true;
-                        break;
-                    }
-                }
-            }
-            ReadPhase::Payload { filled, len } => {
-                match conn.stream.read(&mut conn.payload[filled..len]) {
-                    Ok(0) => {
-                        conn.read_eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        progress = true;
-                        let filled = filled + n;
-                        if filled < len {
-                            conn.phase = ReadPhase::Payload { filled, len };
-                            continue;
-                        }
-                        conn.phase = ReadPhase::Header { filled: 0 };
-                        dispatch_frame(conn, slot, generation, shared, shutdown);
-                    }
-                    Err(err) if err.kind() == ErrorKind::WouldBlock => {
-                        conn.readable = false;
-                        break;
-                    }
-                    Err(err) if err.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.dead = true;
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    progress
+/// An inbound frame, decoded.
+enum Request {
+    /// A fetch; its files are in [`Dispatcher::files`].
+    Fetch(FetchFrame),
+    /// Anything else (the cold, allocating decode).
+    Other(Message),
 }
 
-/// Routes one complete frame: fetches, stats and cluster updates become
-/// worker jobs; shutdown and protocol errors are answered inline. Every
-/// frame consumes one sequence number so replies release in order.
-fn dispatch_frame(
-    conn: &mut Conn,
-    slot: usize,
-    generation: u64,
-    shared: &Shared,
-    shutdown: &AtomicBool,
-) {
-    let seq = conn.next_seq;
-    let mut files = shared.take_file_buf();
-    // The allocation-free fast path: fetch frames decode straight into a
-    // pooled buffer; everything else takes the cold full decode.
-    match decode_fetch_into(&conn.payload, &mut files) {
-        Ok(Some(header)) => {
-            conn.next_seq += 1;
-            conn.pending += 1;
-            shared.push_job(Job {
-                slot,
-                generation,
-                seq,
-                kind: JobKind::Fetch {
-                    request_id: header.request_id,
-                    files,
-                    owned: header.owned,
-                },
-            });
+impl Dispatcher<'_> {
+    /// Whether the loop may take more frames from `conn` (see
+    /// [`may_read`]).
+    fn may_read(&self, conn: &Conn) -> bool {
+        may_read(
+            conn.pending,
+            conn.backlog(),
+            self.max_pending,
+            self.max_outbound,
+        )
+    }
+
+    /// Dispatches every complete buffered frame while both bounds allow,
+    /// reading from the socket only when none is left — so the frames of
+    /// a burst that arrived together cost one `read`. A read that leaves
+    /// the buffer room drained the socket, so it clears `readable` as a
+    /// read that would block does. Stops with `readable` still set when a
+    /// bound, not the socket, ended it.
+    fn take_input(&mut self, conn: &mut Conn, slot: usize, generation: u64) -> bool {
+        let mut progress = false;
+        while !conn.dead && !conn.close_after_flush && self.may_read(conn) {
+            let request = match conn.inbound.next_frame() {
+                Ok(Some(payload)) => decode_request(payload, &mut self.files),
+                Ok(None) if conn.readable && !conn.read_eof => {
+                    match conn.inbound.read_from(&mut conn.stream) {
+                        Ok(0) => conn.read_eof = true,
+                        Ok(_) => {
+                            progress = true;
+                            conn.readable = !conn.inbound.has_room();
+                            continue;
+                        }
+                        Err(err) if err.kind() == ErrorKind::WouldBlock => conn.readable = false,
+                        Err(err) if err.kind() == ErrorKind::Interrupted => continue,
+                        Err(_) => conn.dead = true,
+                    }
+                    break;
+                }
+                Ok(None) => break,
+                // A length prefix no frame can carry: unframeable garbage.
+                Err(_) => None,
+            };
+            let Some(request) = request else {
+                // A desynced stream cannot be re-framed; hang up.
+                conn.dead = true;
+                break;
+            };
+            self.dispatch(conn, slot, generation, request);
+            progress = true;
         }
-        Ok(None) => {
-            shared.recycle_file_buf(files);
-            match Message::decode(&conn.payload) {
-                Ok(Message::StatsRequest { request_id }) => {
-                    conn.next_seq += 1;
-                    conn.pending += 1;
-                    shared.push_job(Job {
-                        slot,
-                        generation,
-                        seq,
-                        kind: JobKind::Stats { request_id },
-                    });
-                }
-                Ok(Message::ClusterUpdate {
-                    request_id,
-                    epoch,
-                    members,
-                }) => {
-                    conn.next_seq += 1;
-                    conn.pending += 1;
-                    shared.push_job(Job {
-                        slot,
-                        generation,
-                        seq,
-                        kind: JobKind::ClusterUpdate {
-                            request_id,
-                            epoch,
-                            members,
-                        },
-                    });
-                }
-                Ok(Message::Shutdown { request_id }) => {
-                    conn.next_seq += 1;
-                    conn.pending += 1;
-                    complete_inline(conn, seq, &Message::ShutdownAck { request_id }, shared);
-                    conn.close_after_flush = true;
-                    shutdown.store(true, Ordering::Release);
-                }
-                Ok(other) => {
-                    conn.next_seq += 1;
-                    conn.pending += 1;
-                    let reply = Message::Error {
-                        request_id: other.request_id(),
-                        message: format!("unexpected client message: {other:?}"),
+        progress
+    }
+
+    /// Routes one frame, consuming one sequence number so replies
+    /// release in order. A fetch runs to completion here when its id is
+    /// not executing elsewhere and the backend can serve it without
+    /// blocking; the rest — proxies, declined fetches, stats and cluster
+    /// updates — become worker jobs. Shutdown and unexpected messages are
+    /// answered here.
+    fn dispatch(&mut self, conn: &mut Conn, slot: usize, generation: u64, request: Request) {
+        let seq = conn.next_seq;
+        conn.next_seq += 1;
+        conn.pending += 1;
+        let kind = match request {
+            Request::Fetch(FetchFrame { request_id, owned }) => {
+                let (backend, files) = (self.backend, &self.files);
+                let inline = self.dedup.try_serve(request_id, || {
+                    backend.serve_inline(request_id, files, owned)
+                });
+                if let Some(reply) = inline {
+                    let reply = Message::FetchReply {
+                        request_id: reply.request_id,
+                        files: reply.files,
                     };
-                    complete_inline(conn, seq, &reply, shared);
+                    return self.complete(conn, seq, &reply);
                 }
-                Err(_) => {
-                    // A desynced stream cannot be re-framed; hang up.
-                    conn.dead = true;
+                let files = std::mem::replace(&mut self.files, self.shared.take_file_buf());
+                JobKind::Fetch {
+                    request_id,
+                    files,
+                    owned,
                 }
             }
-        }
-        Err(_) => {
-            shared.recycle_file_buf(files);
-            conn.dead = true;
+            Request::Other(Message::StatsRequest { request_id }) => JobKind::Stats { request_id },
+            Request::Other(Message::ClusterUpdate {
+                request_id,
+                epoch,
+                members,
+            }) => JobKind::ClusterUpdate {
+                request_id,
+                epoch,
+                members,
+            },
+            Request::Other(Message::Shutdown { request_id }) => {
+                conn.close_after_flush = true;
+                self.shutdown.store(true, Ordering::Release);
+                return self.complete(conn, seq, &Message::ShutdownAck { request_id });
+            }
+            Request::Other(other) => {
+                let reply = Message::Error {
+                    request_id: other.request_id(),
+                    message: format!("unexpected client message: {other:?}"),
+                };
+                return self.complete(conn, seq, &reply);
+            }
+        };
+        self.shared.push_job(Job {
+            slot,
+            generation,
+            seq,
+            kind,
+        });
+    }
+
+    /// Queues a reply completed on the loop: straight onto the write
+    /// buffer when every earlier reply has been released (no worker holds
+    /// one), into the reorder buffer otherwise.
+    fn complete(&self, conn: &mut Conn, seq: u64, reply: &Message) {
+        if seq == conn.next_release {
+            reply.append_to(&mut conn.outbound);
+            conn.next_release += 1;
+            conn.pending -= 1;
+        } else {
+            let mut frame = self.shared.take_frame_buf();
+            reply.encode_into(&mut frame);
+            conn.completed.push((seq, frame));
         }
     }
 }
 
-/// Completes a frame on the I/O loop itself (no worker round trip),
-/// still sequenced like any other reply.
-fn complete_inline(conn: &mut Conn, seq: u64, reply: &Message, shared: &Shared) {
-    let mut frame = shared.take_frame_buf();
-    reply.encode_into(&mut frame);
-    conn.completed.push((seq, frame));
+/// Decodes one frame payload, `None` if it does not decode. Fetch frames
+/// take the allocation-free path into the reused `files`; everything else
+/// takes the full decode.
+fn decode_request(payload: &[u8], files: &mut Vec<FileId>) -> Option<Request> {
+    match decode_fetch_into(payload, files) {
+        Ok(Some(header)) => Some(Request::Fetch(header)),
+        Ok(None) => Message::decode(payload).ok().map(Request::Other),
+        Err(_) => None,
+    }
 }
 
 #[cfg(test)]

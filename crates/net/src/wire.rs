@@ -255,49 +255,55 @@ impl Message {
     /// Byte-for-byte identical to [`Message::encode`] (pinned by a test).
     pub fn encode_into(&self, frame: &mut Vec<u8>) {
         frame.clear();
-        // Length prefix placeholder, patched once the payload is known.
-        frame.extend_from_slice(&[0u8; 4]);
-        frame.push(WIRE_VERSION);
-        frame.push(self.msg_type());
-        frame.extend_from_slice(&self.request_id().to_le_bytes());
+        self.append_to(frame);
+    }
+
+    /// Appends this message as one complete frame after whatever `out`
+    /// already holds — how the server queues a reply straight behind the
+    /// ones before it.
+    pub(crate) fn append_to(&self, out: &mut Vec<u8>) {
+        let start = match self {
+            Message::Fetch { request_id, files } => {
+                return append_fetch(out, *request_id, files, false)
+            }
+            Message::FetchOwned { request_id, files } => {
+                return append_fetch(out, *request_id, files, true)
+            }
+            _ => begin_frame(out, self.msg_type(), self.request_id()),
+        };
         match self {
-            Message::Fetch { files, .. } | Message::FetchOwned { files, .. } => {
-                frame.extend_from_slice(&(files.len() as u32).to_le_bytes());
-                for f in files {
-                    frame.extend_from_slice(&f.as_u64().to_le_bytes());
-                }
-            }
+            // Returned above: `append_fetch` writes the whole frame.
+            Message::Fetch { .. } | Message::FetchOwned { .. } => {}
             Message::FetchReply { files, .. } => {
-                frame.extend_from_slice(&(files.len() as u32).to_le_bytes());
+                out.extend_from_slice(&(files.len() as u32).to_le_bytes());
                 for f in files {
-                    frame.extend_from_slice(&f.file.as_u64().to_le_bytes());
-                    frame.push(if f.outcome.is_hit() { 0 } else { 1 });
+                    out.extend_from_slice(&f.file.as_u64().to_le_bytes());
+                    out.push(if f.outcome.is_hit() { 0 } else { 1 });
                 }
             }
-            Message::StatsReply { stats, .. } => stats.encode_into(frame),
+            Message::StatsReply { stats, .. } => stats.encode_into(out),
             Message::Error { message, .. } => {
-                frame.extend_from_slice(&(message.len() as u32).to_le_bytes());
-                frame.extend_from_slice(message.as_bytes());
+                out.extend_from_slice(&(message.len() as u32).to_le_bytes());
+                out.extend_from_slice(message.as_bytes());
             }
             Message::ClusterUpdate { epoch, members, .. } => {
-                frame.extend_from_slice(&epoch.to_le_bytes());
-                frame.extend_from_slice(&(members.len() as u32).to_le_bytes());
+                out.extend_from_slice(&epoch.to_le_bytes());
+                out.extend_from_slice(&(members.len() as u32).to_le_bytes());
                 for (node, addr) in members {
-                    frame.extend_from_slice(&node.to_le_bytes());
+                    out.extend_from_slice(&node.to_le_bytes());
                     let len = addr.len().min(MAX_MEMBER_ADDR_LEN) as u16;
-                    frame.extend_from_slice(&len.to_le_bytes());
-                    frame.extend_from_slice(&addr.as_bytes()[..len as usize]);
+                    out.extend_from_slice(&len.to_le_bytes());
+                    out.extend_from_slice(&addr.as_bytes()[..len as usize]);
                 }
             }
             Message::ClusterUpdateAck { epoch, .. } => {
-                frame.extend_from_slice(&epoch.to_le_bytes());
+                out.extend_from_slice(&epoch.to_le_bytes());
             }
             Message::StatsRequest { .. }
             | Message::Shutdown { .. }
             | Message::ShutdownAck { .. } => {}
         }
-        let payload_len = (frame.len() - 4) as u32;
-        frame[..4].copy_from_slice(&payload_len.to_le_bytes());
+        finish_frame(out, start);
     }
 
     /// Decodes one frame payload (everything after the length prefix).
@@ -468,6 +474,122 @@ pub fn decode_fetch_into(
         request_id,
         owned: msg_type == MSG_FETCH_OWNED,
     }))
+}
+
+/// Appends one `Fetch` frame (`FetchOwned` if `owned`) for a borrowed
+/// file list — the one fetch encoder: [`Message::encode_into`] calls it,
+/// and so does the client, which encodes a whole pipelined batch into one
+/// buffer without building a `Message` per request.
+pub(crate) fn append_fetch(out: &mut Vec<u8>, request_id: u64, files: &[FileId], owned: bool) {
+    let msg_type = if owned { MSG_FETCH_OWNED } else { MSG_FETCH };
+    let start = begin_frame(out, msg_type, request_id);
+    out.extend_from_slice(&(files.len() as u32).to_le_bytes());
+    for f in files {
+        out.extend_from_slice(&f.as_u64().to_le_bytes());
+    }
+    finish_frame(out, start);
+}
+
+/// Opens a frame at the end of `out` — a length placeholder, then the
+/// version, type and request id — returning where it starts.
+fn begin_frame(out: &mut Vec<u8>, msg_type: u8, request_id: u64) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; 4]);
+    out.push(WIRE_VERSION);
+    out.push(msg_type);
+    out.extend_from_slice(&request_id.to_le_bytes());
+    start
+}
+
+/// Patches the length prefix of the frame opened at `start`.
+fn finish_frame(out: &mut [u8], start: usize) {
+    let payload_len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&payload_len.to_le_bytes());
+}
+
+/// What a connection's reader holds before its first frame outgrows it:
+/// a pipelined burst of small frames arrives in one `read`.
+pub(crate) const READ_BUF: usize = 4 * 1024;
+
+/// A connection's inbound bytes, cut into frames in place:
+/// `buf[head..filled]` has been read but not yet consumed. The server
+/// (nonblocking, every frame of a burst from one `read`) and the client
+/// (blocking, every reply of a batch) share it. The buffer is allocated
+/// by the first read at [`READ_BUF`] bytes, grows only to fit one frame
+/// larger than that, and shrinks back once that frame is consumed.
+#[derive(Default)]
+pub(crate) struct FrameReader {
+    buf: Vec<u8>,
+    head: usize,
+    filled: usize,
+}
+
+impl FrameReader {
+    /// Consumes the next frame and returns its payload, or `None` until
+    /// its last byte has been read.
+    ///
+    /// # Errors
+    ///
+    /// A length prefix no frame can carry (0, or over
+    /// [`MAX_FRAME_LEN`]): the stream cannot be re-framed.
+    pub(crate) fn next_frame(&mut self) -> Result<Option<&[u8]>, TransportError> {
+        let Some(len) = self.frame_len()? else {
+            return Ok(None);
+        };
+        let end = self.head + 4 + len;
+        if end > self.filled {
+            return Ok(None);
+        }
+        let payload = &self.buf[self.head + 4..end];
+        self.head = end;
+        Ok(Some(payload))
+    }
+
+    /// Payload length of the frame at `head`, once its prefix is in.
+    fn frame_len(&self) -> Result<Option<usize>, TransportError> {
+        let Some(prefix) = self.buf[self.head..self.filled].first_chunk::<4>() else {
+            return Ok(None);
+        };
+        match u32::from_le_bytes(*prefix) {
+            0 => Err(protocol("empty frame")),
+            len if len > MAX_FRAME_LEN => Err(protocol(format!(
+                "frame length {len} exceeds maximum {MAX_FRAME_LEN}"
+            ))),
+            len => Ok(Some(len as usize)),
+        }
+    }
+
+    /// One `read` from `r` into free space, after moving the unconsumed
+    /// bytes to the front and sizing the buffer for the frame being
+    /// assembled. `Ok(0)` is end of stream. Call it only when
+    /// [`next_frame`](Self::next_frame) has returned `None`.
+    pub(crate) fn read_from(&mut self, r: &mut impl Read) -> std::io::Result<usize> {
+        let unread = self.filled - self.head;
+        self.buf.copy_within(self.head..self.filled, 0);
+        (self.head, self.filled) = (0, unread);
+        let frame = self.frame_len().ok().flatten().map_or(0, |len| 4 + len);
+        let size = frame.max(READ_BUF).max(unread);
+        if self.buf.len() > size {
+            self.buf.truncate(size);
+            self.buf.shrink_to_fit();
+        } else {
+            self.buf.resize(size, 0);
+        }
+        let n = r.read(&mut self.buf[self.filled..])?;
+        self.filled += n;
+        Ok(n)
+    }
+
+    /// Whether the last read left free space — it was short, so the
+    /// socket had nothing more at that moment.
+    pub(crate) fn has_room(&self) -> bool {
+        self.filled < self.buf.len()
+    }
+
+    /// Whether every byte read has been consumed.
+    pub(crate) fn is_drained(&self) -> bool {
+        self.head == self.filled
+    }
 }
 
 /// Writes one message as a frame to `w` (single `write_all` so a frame is
@@ -913,6 +1035,92 @@ mod tests {
         let mut trailing = payload.to_vec();
         trailing.push(0);
         assert!(decode_fetch_into(&trailing, &mut files).is_err());
+    }
+
+    /// A stream handing out at most `chunk` bytes per read.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        chunk: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.chunk.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    fn next_message(reader: &mut FrameReader, src: &mut impl Read) -> Message {
+        loop {
+            if let Some(payload) = reader.next_frame().expect("well framed") {
+                return Message::decode(payload).expect("well formed");
+            }
+            assert!(reader.read_from(src).expect("read") > 0, "ended mid-frame");
+        }
+    }
+
+    #[test]
+    fn frame_reader_cuts_bursts_and_frames_split_across_reads() {
+        let messages: Vec<Message> = (0..50u64)
+            .map(|i| Message::Fetch {
+                request_id: i,
+                files: (0..i % 3).map(FileId).collect(),
+            })
+            .collect();
+        let mut stream = Vec::new();
+        for m in &messages {
+            m.append_to(&mut stream);
+        }
+        for chunk in [1, 7, READ_BUF] {
+            let mut src = Trickle {
+                data: &stream,
+                chunk,
+            };
+            let mut reader = FrameReader::default();
+            for m in &messages {
+                assert_eq!(&next_message(&mut reader, &mut src), m, "chunk {chunk}");
+            }
+            assert!(reader.is_drained());
+        }
+    }
+
+    #[test]
+    fn frame_reader_grows_for_one_large_frame_then_shrinks_back() {
+        let big = Message::Fetch {
+            request_id: 1,
+            files: (0..2_000).map(FileId).collect(),
+        };
+        let small = Message::StatsRequest { request_id: 2 };
+        let mut stream = big.encode();
+        let big_len = stream.len();
+        small.append_to(&mut stream);
+        let mut src = Trickle {
+            data: &stream,
+            chunk: usize::MAX,
+        };
+        let mut reader = FrameReader::default();
+        assert_eq!(next_message(&mut reader, &mut src), big);
+        assert_eq!(reader.buf.len(), big_len, "grown to fit the frame, no more");
+        assert_eq!(next_message(&mut reader, &mut src), small);
+        assert_eq!(reader.buf.len(), READ_BUF);
+    }
+
+    #[test]
+    fn frame_reader_rejects_unframeable_length_prefixes() {
+        for len in [0, MAX_FRAME_LEN + 1] {
+            let prefix = len.to_le_bytes();
+            let mut reader = FrameReader::default();
+            reader
+                .read_from(&mut Trickle {
+                    data: &prefix,
+                    chunk: 4,
+                })
+                .expect("read");
+            let err = reader.next_frame().expect_err("unframeable");
+            assert_eq!(err.kind(), TransportErrorKind::Protocol);
+        }
     }
 
     #[test]

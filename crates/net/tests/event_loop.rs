@@ -111,6 +111,49 @@ fn silent_connections_cost_one_pass_per_tick_and_wake_in_constant_passes() {
 }
 
 #[test]
+fn a_pipelined_burst_costs_a_few_passes_not_one_per_frame() {
+    // 64 fetches in one write: the loop takes them with one read, serves
+    // them on the loop, and sends the 64 replies in one write. Handing
+    // each frame to a worker and waking for its completion cost up to 47
+    // passes a round.
+    const BURST: u64 = 64;
+    let handle = bound(400).spawn();
+    let counters = handle.loop_counters();
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    // Accepted, served once, and back asleep before the first round.
+    write_frame(&mut stream, &Message::StatsRequest { request_id: 0 }).expect("warm-up");
+    read_frame(&mut stream).expect("warm-up reply");
+    wait_for_idle_tick(&counters);
+
+    let mut worst = 0;
+    for round in 0..20u64 {
+        let ids = round * BURST + 1..(round + 1) * BURST + 1;
+        let burst: Vec<u8> = ids
+            .clone()
+            .flat_map(|id| fetch_frame(id, &[id % 23]))
+            .collect();
+        let before = (counters.passes(), counters.poll_timeouts());
+        stream.write_all(&burst).expect("one write");
+        for id in ids {
+            match read_frame(&mut stream).expect("reply") {
+                Message::FetchReply { request_id, files } => {
+                    assert_eq!(request_id, id, "in-order replies");
+                    assert_eq!(files[0].file, FileId(id % 23));
+                }
+                other => panic!("unexpected reply {other:?}"),
+            }
+        }
+        worst = worst.max(unforced_passes(&counters, before));
+    }
+    assert!(worst <= 4, "a {BURST}-frame burst cost {worst} passes");
+    handle.stop();
+}
+
+#[test]
 fn stop_wakes_the_loop_and_a_bare_flag_store_is_seen_within_a_tick() {
     // stop() on an idle server: the loop is woken, so it exits without a
     // further time-out. A tick can still land between the sample and the

@@ -1,7 +1,8 @@
 //! The racing-retry contract of [`fgcache_net::dedup`], over real TCP: a
 //! [`ServeBackend`] that blocks inside `serve_group` until the test
 //! releases it holds one request id mid-execution while retries of that
-//! id, and fetches of other ids, arrive on other connections.
+//! id, and fetches of other ids, arrive on other connections — served by
+//! workers, or, for a backend that serves fetches on the loop, beside it.
 //!
 //! Every wait is on something the backend observed (a condvar), never a
 //! sleep. What the server's workers do between popping a job and parking
@@ -85,9 +86,26 @@ impl ServeBackend for GatedBackend {
     }
 }
 
-/// A gated backend and a server bound (not yet running) over it.
-fn gated_server() -> (BoundServer, Arc<GatedBackend>) {
-    let backend = Arc::new(GatedBackend {
+/// The same backend, served on the server's loop for every group but a
+/// [`GATED`] one.
+struct InlineUnlessGated(Arc<GatedBackend>);
+
+impl ServeBackend for InlineUnlessGated {
+    fn serve_group(&self, request_id: u64, files: &[FileId]) -> GroupReply {
+        self.0.serve_group(request_id, files)
+    }
+
+    fn serve_inline(&self, request_id: u64, files: &[FileId], _owned: bool) -> Option<GroupReply> {
+        (files[0] != GATED).then(|| self.0.serve_group(request_id, files))
+    }
+
+    fn wire_stats(&self) -> WireStats {
+        self.0.wire_stats()
+    }
+}
+
+fn gated_backend() -> Arc<GatedBackend> {
+    Arc::new(GatedBackend {
         cache: ShardedAggregatingCacheBuilder::new(40)
             .shards(2)
             .group_size(1)
@@ -95,7 +113,14 @@ fn gated_server() -> (BoundServer, Arc<GatedBackend>) {
             .expect("valid build"),
         observed: Mutex::default(),
         changed: Condvar::new(),
-    });
+    })
+}
+
+/// A gated backend and a server bound (not yet running) over it. The
+/// backend keeps `serve_inline`'s default, so every fetch goes to a
+/// worker.
+fn gated_server() -> (BoundServer, Arc<GatedBackend>) {
+    let backend = gated_backend();
     let bound =
         BoundServer::bind_backend("127.0.0.1:0", Arc::clone(&backend)).expect("ephemeral bind");
     (bound, backend)
@@ -116,7 +141,9 @@ fn req(id: u64, demand: FileId) -> GroupRequest {
 /// inside the backend, a pipelined `[retry, probe]` on a second. Jobs
 /// leave the server's queue in order, so when the probe has entered the
 /// backend the retry — same id as the original, still executing — is in
-/// a worker's hands. Returns the two pending exchanges.
+/// a worker's hands. (Over [`InlineUnlessGated`] the probe is served on
+/// the loop instead, after the retry was handed to the pool.) Returns
+/// the two pending exchanges.
 fn original_and_retry(
     handle: &ServerHandle,
     backend: &Arc<GatedBackend>,
@@ -189,6 +216,45 @@ fn other_ids_complete_while_one_id_is_parked_in_the_backend() {
     assert!(!parked.is_finished(), "the gated fetch is still executing");
     backend.release();
     parked.join().expect("gated thread");
+    handle.stop();
+}
+
+/// The loop never waits on a backend or on a claim. The original of a
+/// gated id is parked in the backend on a worker, and its retry — found
+/// executing by the loop's try-claim — went to the pool rather than
+/// parking the loop: the probe pipelined behind it was served on the
+/// loop, and so is a fetch on a third connection.
+#[test]
+fn the_loop_serves_inline_while_a_claim_and_its_retry_wait_on_workers() {
+    let backend = gated_backend();
+    let handle = BoundServer::bind_backend(
+        "127.0.0.1:0",
+        Arc::new(InlineUnlessGated(Arc::clone(&backend))),
+    )
+    .expect("ephemeral bind")
+    .spawn();
+    let (original, retry) = original_and_retry(&handle, &backend);
+    let mut third = NetClient::connect(handle.addr())
+        .expect("connect")
+        .with_timeout(Duration::from_secs(5));
+    let reply = third
+        .fetch_group(&req(80, FileId(9)))
+        .expect("served on the loop while the gated id waits");
+    assert_eq!(reply.files[0].file, FileId(9));
+    assert!(!original.is_finished() && !retry.is_finished());
+    backend.release();
+    let original = original.join().expect("original thread");
+    assert_eq!(original, retry.join().expect("retry thread"));
+    assert_eq!(
+        backend.entries(GATED),
+        1,
+        "the backend executed the id once"
+    );
+    let stats = patient_client(&handle).server_stats().expect("stats reply");
+    assert_eq!(
+        stats.reply_cache_hits, 1,
+        "the retry got the remembered reply"
+    );
     handle.stop();
 }
 
