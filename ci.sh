@@ -36,9 +36,6 @@ cargo test -q --workspace
 echo "==> model checker: cargo test -q -p fgcache-types --features fgcache_model"
 cargo test -q -p fgcache-types --features fgcache_model
 
-echo "==> model checker: cargo test -q -p fgcache-core --features fgcache_model --lib"
-cargo test -q -p fgcache-core --features fgcache_model --lib
-
 echo "==> model checker: cargo test -q -p fgcache-net --features fgcache_model --lib"
 cargo test -q -p fgcache-net --features fgcache_model --lib
 

@@ -6,14 +6,11 @@
 //!
 //! Scenarios:
 //!   * `monolith` — one `AggregatingCache` behind no lock
-//!   * `sharded/N` — `ShardedAggregatingCache`, N shards, lock-light
-//!     fast path (the default)
-//!   * `sharded/N/locked` — same, fast path disabled: every access
-//!     takes the shard mutex
+//!   * `sharded/N` — `ShardedAggregatingCache`, N shards: every access
+//!     takes its shard's mutex once
 //!
-//! Locks/event comes from the server's own acquisition counter, which is
-//! the honest contention metric on a single-core host where wall-clock
-//! cannot show contention wins.
+//! Locks/event comes from the server's own acquisition counter; it reads
+//! exactly 1 for every sharded scenario.
 //!
 //! The workload is 98% accesses to a working set that fits in cache and
 //! 2% cold misses, so the steady state exercises the hit path with a
@@ -27,12 +24,12 @@
 //!
 //! The `mt/threads=N/shards=S` scenarios replay N per-thread traces
 //! *concurrently* against one shared `ShardedAggregatingCache` — the
-//! contention the sharding and the PR-4 lock-light fast path were built
-//! for, which a single-threaded bench can never show. The scaling table
-//! (shards=1 vs shards=4 at N threads) is the honest measurement: on a
-//! 1-core host the speedup hovers near 1× because the threads time-slice
-//! one core; on a real multi-core host (≥4 cores) the ≥2× target is
-//! verifiable with exactly one command:
+//! contention the sharding was built for, which a single-threaded bench
+//! can never show. The scaling table (shards=1 vs shards=4 at N
+//! threads) is the honest measurement: on a 1-core host the speedup
+//! hovers near 1× because the threads time-slice one core; on a real
+//! multi-core host (≥4 cores) the ≥2× target is verifiable with exactly
+//! one command:
 //!
 //! ```text
 //! cargo xtask bench-smoke --threads 4
@@ -150,12 +147,11 @@ fn bench_monolith(trace: &[FileId]) -> Scenario {
     }
 }
 
-fn bench_sharded(trace: &[FileId], shards: usize, fast_path: bool) -> Scenario {
+fn bench_sharded(trace: &[FileId], shards: usize) -> Scenario {
     let server = ShardedAggregatingCacheBuilder::new(CAPACITY)
         .shards(shards)
         .group_size(GROUP_SIZE)
         .successor_capacity(SUCCESSOR_CAPACITY)
-        .fast_path(fast_path)
         .build()
         .expect("valid sharded config");
     for &file in trace {
@@ -177,10 +173,7 @@ fn bench_sharded(trace: &[FileId], shards: usize, fast_path: bool) -> Scenario {
     }
     let stats = server.stats();
     Scenario {
-        name: format!(
-            "sharded/shards={shards}{}",
-            if fast_path { "" } else { "/locked" }
-        ),
+        name: format!("sharded/shards={shards}"),
         events_per_sec: trace.len() as f64 / best_secs,
         allocs_per_event: allocs as f64 / trace.len() as f64,
         locks_per_event: locks as f64 / trace.len() as f64,
@@ -311,8 +304,7 @@ fn main() {
 
     let mut scenarios = vec![bench_monolith(&trace)];
     for shards in [1usize, 4] {
-        scenarios.push(bench_sharded(&trace, shards, true));
-        scenarios.push(bench_sharded(&trace, shards, false));
+        scenarios.push(bench_sharded(&trace, shards));
     }
 
     // The multi-core section: same workload shape, N concurrent replay

@@ -5,7 +5,7 @@
 //! fgcache stats     trace.txt
 //! fgcache entropy   trace.txt [--max-k 20] [--filter CAPACITY]
 //! fgcache simulate  trace.txt --capacity 300 [--policy lru|lfu|fifo|clock|2q|mq|arc|agg] [--group 5]
-//! fgcache simulate  trace.txt --capacity 400 --clients 4 --shards 4 [--filter 100] [--no-fast-path true]
+//! fgcache simulate  trace.txt --capacity 400 --clients 4 --shards 4 [--filter 100]
 //! fgcache two-level trace.txt --filter 200 --server 300 [--scheme g5|lru|lfu|...]
 //! fgcache groups    trace.txt [--group-size 5] [--top 10]
 //! fgcache plan      --alpha 0.9 --clients 16 --target-hit-rate 0.8 [--universe 100000] [--sizes pareto] [--json plan.json]

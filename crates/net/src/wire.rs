@@ -696,6 +696,8 @@ impl<'a> SliceReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fgcache_types::rng::RandomSource;
+    use fgcache_types::SeededRng;
 
     fn roundtrip(m: Message) {
         let frame = m.encode();
@@ -829,40 +831,6 @@ mod tests {
     }
 
     #[test]
-    fn rejects_truncated_and_oversized_bodies() {
-        let frame = Message::Fetch {
-            request_id: 1,
-            files: vec![FileId(1)],
-        }
-        .encode();
-        let payload = &frame[4..];
-        assert!(Message::decode(&payload[..payload.len() - 1]).is_err());
-
-        // A declared count far beyond the actual body must fail before
-        // allocating.
-        let mut huge = payload.to_vec();
-        huge[10..14].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(Message::decode(&huge).is_err());
-
-        // Trailing garbage is also a protocol error.
-        let mut trailing = payload.to_vec();
-        trailing.push(0);
-        assert!(Message::decode(&trailing).is_err());
-
-        // A cluster update declaring far more members than the body
-        // holds must fail before allocating.
-        let frame = Message::ClusterUpdate {
-            request_id: 1,
-            epoch: 1,
-            members: vec![(1, "x:1".to_string())],
-        }
-        .encode();
-        let mut huge = frame[4..].to_vec();
-        huge[18..22].copy_from_slice(&u32::MAX.to_le_bytes()); // member count
-        assert!(Message::decode(&huge).is_err());
-    }
-
-    #[test]
     fn rejects_invalid_provenance_byte() {
         let mut frame = Message::FetchReply {
             request_id: 1,
@@ -907,9 +875,10 @@ mod tests {
         assert_eq!(err.kind(), TransportErrorKind::Protocol);
     }
 
-    #[test]
-    fn encode_into_matches_encode_for_every_message_type() {
-        let samples = [
+    /// One message of every type, each list non-empty — the golden set
+    /// the round-trip and adversarial tests below start from.
+    fn golden_messages() -> Vec<Message> {
+        vec![
             Message::Fetch {
                 request_id: 1,
                 files: vec![FileId(1), FileId(2)],
@@ -920,15 +889,25 @@ mod tests {
             },
             Message::FetchReply {
                 request_id: 3,
-                files: vec![FileReply {
-                    file: FileId(4),
-                    outcome: AccessOutcome::Miss,
-                }],
+                files: vec![
+                    FileReply {
+                        file: FileId(4),
+                        outcome: AccessOutcome::Miss,
+                    },
+                    FileReply {
+                        file: FileId(5),
+                        outcome: AccessOutcome::Hit,
+                    },
+                ],
             },
             Message::StatsRequest { request_id: 4 },
             Message::StatsReply {
                 request_id: 5,
-                stats: WireStats::default(),
+                stats: WireStats {
+                    hits: 7,
+                    reply_cache_hits: 1,
+                    ..WireStats::default()
+                },
             },
             Message::Shutdown { request_id: 6 },
             Message::ShutdownAck { request_id: 7 },
@@ -939,17 +918,21 @@ mod tests {
             Message::ClusterUpdate {
                 request_id: 9,
                 epoch: 2,
-                members: vec![(1, "a:1".to_string())],
+                members: vec![(1, "a:1".to_string()), (2, "b:22".to_string())],
             },
             Message::ClusterUpdateAck {
                 request_id: 10,
                 epoch: 2,
             },
-        ];
+        ]
+    }
+
+    #[test]
+    fn encode_into_matches_encode_for_every_message_type() {
         // One reused buffer across all messages: encode_into must clear
         // stale contents and produce bytes identical to encode().
         let mut scratch = Vec::new();
-        for m in &samples {
+        for m in &golden_messages() {
             m.encode_into(&mut scratch);
             assert_eq!(scratch, m.encode(), "{m:?}");
         }
@@ -1108,22 +1091,6 @@ mod tests {
     }
 
     #[test]
-    fn frame_reader_rejects_unframeable_length_prefixes() {
-        for len in [0, MAX_FRAME_LEN + 1] {
-            let prefix = len.to_le_bytes();
-            let mut reader = FrameReader::default();
-            reader
-                .read_from(&mut Trickle {
-                    data: &prefix,
-                    chunk: 4,
-                })
-                .expect("read");
-            let err = reader.next_frame().expect_err("unframeable");
-            assert_eq!(err.kind(), TransportErrorKind::Protocol);
-        }
-    }
-
-    #[test]
     fn io_error_taxonomy() {
         use std::io::{Error, ErrorKind};
         assert_eq!(
@@ -1142,5 +1109,278 @@ mod tests {
             io_to_transport(Error::new(ErrorKind::ConnectionReset, "r")).kind(),
             TransportErrorKind::ConnectionLost
         );
+    }
+
+    // Adversarial inputs: every golden frame truncated at every byte,
+    // with lying length fields, with seeded bit flips, and split across
+    // every read boundary. Each case ends in `Err` or in the identical
+    // frame — never a panic — and no buffer or decoded list outgrows
+    // the bytes that justify it, so nothing is allocated past the
+    // MAX_FRAME_LEN cap.
+
+    /// A decoded list of `capacity` elements, each at least `min_wire`
+    /// bytes on the wire, must fit the payload it came from: the
+    /// decoders check a declared count against the bytes left before
+    /// allocating, and growth at most doubles.
+    fn assert_list_bounded(capacity: usize, payload: &[u8], min_wire: usize, what: &str) {
+        assert!(
+            capacity <= 2 * (payload.len() / min_wire).max(4),
+            "{what}: capacity {capacity} for a {}-byte payload",
+            payload.len()
+        );
+    }
+
+    /// Decodes one payload with both decoders and checks the contract:
+    /// they agree, every error is a protocol error, a decoded message
+    /// re-encodes to the identical frame, and no list outgrows the
+    /// payload. Returns the message, or `None` if it was rejected.
+    fn check_payload(payload: &[u8]) -> Option<Message> {
+        let full = Message::decode(payload);
+        let mut files = Vec::new();
+        let fetch = decode_fetch_into(payload, &mut files);
+        assert_list_bounded(files.capacity(), payload, 8, "decode_fetch_into");
+        let fetch_type = matches!(payload.get(1), Some(&(MSG_FETCH | MSG_FETCH_OWNED)));
+        match (&full, &fetch) {
+            (
+                Ok(
+                    Message::Fetch {
+                        request_id,
+                        files: want,
+                    }
+                    | Message::FetchOwned {
+                        request_id,
+                        files: want,
+                    },
+                ),
+                Ok(Some(header)),
+            ) => {
+                assert_eq!(header.request_id, *request_id);
+                assert_eq!(header.owned, payload[1] == MSG_FETCH_OWNED);
+                assert_eq!(&files, want);
+            }
+            (_, Ok(None)) => assert!(!fetch_type, "a fetch frame was passed over"),
+            (Err(_), Err(_)) => {}
+            _ => panic!("decoders disagree on {payload:?}: {full:?} vs {fetch:?}"),
+        }
+        for err in [full.as_ref().err(), fetch.as_ref().err()]
+            .into_iter()
+            .flatten()
+        {
+            assert_eq!(err.kind(), TransportErrorKind::Protocol, "{err}");
+        }
+        let message = full.ok()?;
+        assert_eq!(
+            &message.encode()[4..],
+            payload,
+            "a decoded frame must re-encode identically"
+        );
+        match &message {
+            Message::Fetch { files, .. } | Message::FetchOwned { files, .. } => {
+                assert_list_bounded(files.capacity(), payload, 8, "fetch files")
+            }
+            Message::FetchReply { files, .. } => {
+                assert_list_bounded(files.capacity(), payload, 9, "reply files")
+            }
+            Message::ClusterUpdate { members, .. } => {
+                assert_list_bounded(members.capacity(), payload, 10, "members")
+            }
+            Message::Error { message, .. } => {
+                assert!(message.capacity() <= payload.len(), "error text")
+            }
+            _ => {}
+        }
+        Some(message)
+    }
+
+    /// What a `FrameReader` made of a whole stream.
+    #[derive(Debug, PartialEq)]
+    struct Cut {
+        /// Each frame it cut, decoded (`None`: rejected by the decoders).
+        frames: Vec<Option<Message>>,
+        /// Whether it refused an unframeable length prefix.
+        refused: bool,
+    }
+
+    /// Runs `src` through a `FrameReader` until end of stream or an
+    /// unframeable prefix, checking every frame it cuts and that its
+    /// buffer never grows past one maximal frame.
+    fn drive(src: &mut impl Read) -> Cut {
+        let mut reader = FrameReader::default();
+        let mut frames = Vec::new();
+        loop {
+            match reader.next_frame() {
+                Ok(Some(payload)) => {
+                    frames.push(check_payload(payload));
+                    continue;
+                }
+                Ok(None) => {}
+                Err(err) => {
+                    assert_eq!(err.kind(), TransportErrorKind::Protocol);
+                    return Cut {
+                        frames,
+                        refused: true,
+                    };
+                }
+            }
+            if reader.read_from(src).expect("in-memory read") == 0 {
+                return Cut {
+                    frames,
+                    refused: false,
+                };
+            }
+            assert!(
+                reader.buf.len() <= 4 + MAX_FRAME_LEN as usize,
+                "reader buffer grew past the frame cap"
+            );
+        }
+    }
+
+    fn frame_with_payload(payload: &[u8]) -> Vec<u8> {
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(payload);
+        frame
+    }
+
+    #[test]
+    fn adversarial_truncation_at_every_byte() {
+        let nothing = Cut {
+            frames: Vec::new(),
+            refused: false,
+        };
+        for m in golden_messages() {
+            let frame = m.encode();
+            let payload = &frame[4..];
+            for cut in 0..frame.len() {
+                // The stream ends mid-frame: the reader waits for bytes
+                // that never come and yields nothing.
+                assert_eq!(drive(&mut &frame[..cut]), nothing, "{m:?} cut at {cut}");
+            }
+            for cut in 0..payload.len() {
+                // An honest prefix around a truncated body: framed fine,
+                // rejected by both decoders (an empty one by the reader).
+                let want = Cut {
+                    frames: if cut == 0 { Vec::new() } else { vec![None] },
+                    refused: cut == 0,
+                };
+                let got = drive(&mut frame_with_payload(&payload[..cut]).as_slice());
+                assert_eq!(got, want, "{m:?} body cut at {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn adversarial_length_field_lies() {
+        let sentinel = Message::StatsRequest { request_id: 0xABCD }.encode();
+        let refused = Cut {
+            frames: Vec::new(),
+            refused: true,
+        };
+        for m in golden_messages() {
+            let frame = m.encode();
+            let len = (frame.len() - 4) as u32;
+            for lie in [0, len - 1, len + 1, MAX_FRAME_LEN + 1] {
+                let mut stream = frame.clone();
+                stream[..4].copy_from_slice(&lie.to_le_bytes());
+                stream.extend_from_slice(&sentinel);
+                for chunk in [1, 7, usize::MAX] {
+                    let got = drive(&mut Trickle {
+                        data: &stream,
+                        chunk,
+                    });
+                    if lie == 0 || lie > MAX_FRAME_LEN {
+                        assert_eq!(got, refused, "{m:?} length {lie}");
+                    } else {
+                        // One byte short leaves the body truncated; one
+                        // byte long swallows the next frame's first byte.
+                        assert_eq!(got.frames.first(), Some(&None), "{m:?} length {lie}");
+                    }
+                }
+            }
+            // Lies in the body's own count or length field (its offset
+            // in the frame, prefix included).
+            let field = match m {
+                Message::Fetch { .. }
+                | Message::FetchOwned { .. }
+                | Message::FetchReply { .. }
+                | Message::Error { .. } => 14,
+                Message::ClusterUpdate { .. } => 22,
+                _ => continue,
+            };
+            let truth = u32::from_le_bytes(frame[field..field + 4].try_into().expect("4 bytes"));
+            for lie in [0, truth - 1, truth + 1, u32::MAX] {
+                let mut lying = frame[4..].to_vec();
+                lying[field - 4..field].copy_from_slice(&lie.to_le_bytes());
+                assert_eq!(check_payload(&lying), None, "{m:?} count {lie}");
+            }
+        }
+        // A prefix declaring exactly the cap is legal: the reader sizes
+        // its buffer to that one frame while it waits, and no further.
+        let mut reader = FrameReader::default();
+        reader
+            .read_from(&mut &MAX_FRAME_LEN.to_le_bytes()[..])
+            .expect("read");
+        assert_eq!(reader.next_frame().expect("legal length"), None);
+        reader.read_from(&mut &[][..]).expect("read");
+        assert_eq!(reader.buf.len(), 4 + MAX_FRAME_LEN as usize);
+    }
+
+    #[test]
+    fn adversarial_seeded_byte_flips() {
+        let sentinel = Message::StatsRequest { request_id: 0xABCD };
+        for seed in [0xFEED_FACE, 42, 20020702] {
+            let mut rng = SeededRng::new(seed);
+            for m in golden_messages() {
+                let frame = m.encode();
+                for round in 0..128 {
+                    let mut stream = frame.clone();
+                    let mut prefix_intact = true;
+                    // 1–3 deterministic bit flips inside the frame.
+                    for _ in 0..=rng.gen_index(3) {
+                        let pos = rng.gen_index(frame.len());
+                        stream[pos] ^= 1 << rng.gen_index(8);
+                        prefix_intact &= pos >= 4;
+                    }
+                    sentinel.append_to(&mut stream);
+                    let chunk = [1, 1 + rng.gen_index(16), usize::MAX][rng.gen_index(3)];
+                    let got = drive(&mut Trickle {
+                        data: &stream,
+                        chunk,
+                    });
+                    if prefix_intact {
+                        // The flips stay inside one frame, which decodes
+                        // to an error or to a message that re-encodes to
+                        // these very bytes; the next frame is untouched.
+                        let context = format!("seed {seed} round {round} {m:?}");
+                        assert!(!got.refused, "{context}");
+                        assert_eq!(got.frames.len(), 2, "{context}");
+                        assert_eq!(got.frames[1], Some(sentinel.clone()), "{context}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn adversarial_split_at_every_read_boundary() {
+        let messages = golden_messages();
+        let mut stream = Vec::new();
+        for m in &messages {
+            m.append_to(&mut stream);
+        }
+        let want = Cut {
+            frames: messages.into_iter().map(Some).collect(),
+            refused: false,
+        };
+        for split in 0..=stream.len() {
+            let mut src = (&stream[..split]).chain(&stream[split..]);
+            assert_eq!(drive(&mut src), want, "split at {split}");
+        }
+        for chunk in 1..=9 {
+            let mut src = Trickle {
+                data: &stream,
+                chunk,
+            };
+            assert_eq!(drive(&mut src), want, "chunk {chunk}");
+        }
     }
 }

@@ -48,11 +48,6 @@ pub struct MultiClientConfig {
     /// totals match either way; concurrent runs interleave the shard
     /// streams nondeterministically.
     pub concurrent: bool,
-    /// Whether the server uses the lock-light hit fast path (true, the
-    /// default) or routes every request through the shard mutex (the
-    /// `--no-fast-path` escape hatch). Aggregate results are identical
-    /// either way — only contention changes.
-    pub fast_path: bool,
 }
 
 impl MultiClientConfig {
@@ -69,7 +64,6 @@ impl MultiClientConfig {
             seed: 20020702,
             profile: WorkloadProfile::Server,
             concurrent: true,
-            fast_path: true,
         }
     }
 
@@ -86,7 +80,6 @@ impl MultiClientConfig {
             seed: 7,
             profile: WorkloadProfile::Server,
             concurrent: false,
-            fast_path: true,
         }
     }
 
@@ -122,7 +115,6 @@ impl MultiClientConfig {
             .shards(shards)
             .group_size(self.group_size)
             .successor_capacity(self.successor_capacity)
-            .fast_path(self.fast_path)
             .build()
     }
 
@@ -209,10 +201,9 @@ pub fn run_multiclient(
 }
 
 /// Like [`run_multiclient`] but replays against a caller-built `server` —
-/// the hook for non-default server configurations (e.g. the fast path
-/// disabled via [`ShardedAggregatingCacheBuilder::fast_path`]). The
-/// server should be freshly built; its statistics are read after the
-/// replay.
+/// the hook for non-default server configurations (e.g. sized files
+/// via [`ShardedAggregatingCacheBuilder::sizes`]). The server should be
+/// freshly built; its statistics are read after the replay.
 ///
 /// # Errors
 ///
@@ -847,27 +838,6 @@ mod tests {
         assert_eq!(rr.events, conc.events);
         assert!((rr.client_hit_rate - conc.client_hit_rate).abs() < 1e-12);
         assert_eq!(rr.server_accesses, conc.server_accesses);
-    }
-
-    #[test]
-    fn fast_path_toggle_does_not_change_results() {
-        // quick() replays round-robin (deterministic), so the fast path
-        // must be observably invisible down to exact equality.
-        let on = MultiClientConfig::quick();
-        let off = MultiClientConfig {
-            fast_path: false,
-            ..MultiClientConfig::quick()
-        };
-        let a = multiclient_sweep(&on).unwrap();
-        let b = multiclient_sweep(&off).unwrap();
-        assert_eq!(a.len(), b.len());
-        for (pa, pb) in a.iter().zip(&b) {
-            assert_eq!(pa.demand_fetches, pb.demand_fetches);
-            assert_eq!(pa.server_hit_rate, pb.server_hit_rate);
-            assert_eq!(pa.server_accesses, pb.server_accesses);
-            assert_eq!(pa.imbalance, pb.imbalance);
-            assert_eq!(pa.client_hit_rate, pb.client_hit_rate);
-        }
     }
 
     #[test]

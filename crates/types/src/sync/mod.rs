@@ -1,12 +1,12 @@
-//! Atomics facade for the lock-free fast path.
+//! Atomics facade for the workspace's concurrent code.
 //!
-//! Every atomic the sharded cache's hot path touches goes through this
-//! module instead of `std::sync::atomic` directly. The indirection buys
-//! one thing: a build with the `fgcache_model` feature can route every
-//! load, store and RMW through a deterministic interleaving model
-//! ([`model`]) that explores bounded schedules of small concurrent
-//! scenarios and checks the memory-ordering claims the fast path makes
-//! in DESIGN.md §10 — machine-checked instead of prose.
+//! Every atomic the event loop's wake protocol and the sharded cache's
+//! lock counter touch goes through this module instead of
+//! `std::sync::atomic` directly. The indirection buys one thing: a
+//! build with the `fgcache_model` feature can route every load, store
+//! and RMW through a deterministic interleaving model ([`model`]) that
+//! explores bounded schedules of small concurrent scenarios and checks
+//! their memory-ordering claims — machine-checked instead of prose.
 //!
 //! # Production builds (default)
 //!
@@ -28,8 +28,8 @@
 //!
 //! The discipline the static gate (`xtask analyze`) enforces on code
 //! that imports this module: stores `Release`, loads `Acquire`,
-//! `Relaxed` only on an explicit allowlist of diagnostic counters and
-//! position words, `SeqCst` never.
+//! `Relaxed` only on an explicit allowlist of diagnostic counters,
+//! `SeqCst` never.
 
 pub use std::sync::atomic::Ordering;
 

@@ -31,8 +31,8 @@
 //! branches over every readable store. This is what makes a missing
 //! `Release`/`Acquire` pair observable: demote a publication store to
 //! `Relaxed` and some schedule will read the old value, which is
-//! exactly how the seeded-mutation tests in `fgcache-core` prove the
-//! checker has teeth.
+//! exactly how the relaxed-flag litmus test below proves the checker
+//! has teeth.
 //!
 //! An `Acquire` load that reads a `Release` store joins the store's
 //! `sync` clock into the reader's clock. RMWs (`fetch_add`, CAS) read
@@ -924,8 +924,7 @@ mod tests {
     }
 
     /// The same litmus with a Relaxed flag: the explorer must find the
-    /// stale read — this is the property the seeded-mutation tests in
-    /// fgcache-core lean on.
+    /// stale read — the proof that a demoted publication is observable.
     #[test]
     fn litmus_message_passing_relaxed_flag_reads_stale() {
         let stale = StdMutex::new(false);
