@@ -1,10 +1,11 @@
 //! Least-recently-used cache over an intrusive doubly-linked list.
 //!
-//! This is the workhorse of the workspace: the paper's client caches, the
-//! intervening filter caches and the residency structure of the
-//! aggregating cache are all LRU. The implementation keeps nodes in a slab
-//! (`Vec`) with index links, giving O(1) access, insertion at either end
-//! and eviction without any unsafe code.
+//! This is the workhorse of the workspace: the paper's client caches and
+//! the intervening filter caches are LRU, and the aggregating cache keeps
+//! the same order in its own per-file directory (`fgcache-core`), which
+//! its differential fuzzer checks against this type. The implementation
+//! keeps nodes in a slab (`Vec`) with index links, giving O(1) access,
+//! insertion at either end and eviction without any unsafe code.
 
 use fgcache_types::hash::FastMap;
 use fgcache_types::{AccessOutcome, FileId, InvariantViolation};
@@ -153,9 +154,9 @@ impl LruCache {
     /// clearing its speculative flag. Returns whether the file was
     /// resident.
     ///
-    /// Used by the aggregating cache's head-insertion ablation, where
-    /// speculative group members are placed directly below the requested
-    /// file instead of at the tail.
+    /// Supports a head-insertion placement, where speculative group
+    /// members are placed directly below the requested file instead of at
+    /// the tail.
     pub fn promote_to_head(&mut self, file: FileId) -> bool {
         match self.map.get(&file).copied() {
             Some(idx) => {
@@ -167,22 +168,11 @@ impl LruCache {
         }
     }
 
-    /// Evicts the LRU tail entry (recording the eviction in statistics),
-    /// returning its file.
-    ///
-    /// This is the hook a size-aware wrapper uses to reclaim capacity in
-    /// *units* rather than files: it pre-evicts tail entries until the
-    /// incoming footprint fits, so this cache's own count-based eviction
-    /// never fires and both layers agree on the victim sequence.
-    pub fn evict_lru(&mut self) -> Option<FileId> {
-        self.evict_tail()
-    }
-
     /// Evicts `file` regardless of its recency position, recording the
     /// eviction exactly as a tail eviction would. Returns whether the
     /// file was resident.
     ///
-    /// Backs whole-group (bundle) eviction, where reclaiming the LRU
+    /// Supports whole-group (bundle) eviction, where reclaiming the LRU
     /// victim also reclaims its still-resident co-fetched group members,
     /// wherever they sit in the recency order.
     pub fn evict_file(&mut self, file: FileId) -> bool {

@@ -1,12 +1,15 @@
 //! The aggregating cache implementation.
 
+mod directory;
+
 use std::fmt;
 
-use fgcache_cache::{Cache, CacheStats, LruCache};
-use fgcache_successor::{GroupBuilder, LruSuccessorList, SuccessorTable};
+use fgcache_cache::{Cache, CacheStats};
 use fgcache_types::hash::FastMap;
 use fgcache_types::sizing::SizeCostAssigner;
 use fgcache_types::{AccessOutcome, FileId, InvariantViolation};
+
+use directory::Directory;
 
 /// Where speculative group members are placed in the LRU order.
 ///
@@ -92,21 +95,25 @@ impl GroupFetchStats {
 /// Construct via [`AggregatingCacheBuilder`](crate::AggregatingCacheBuilder).
 /// With `group_size == 1` the cache degenerates to plain LRU, which is how
 /// the experiments obtain their baseline from identical code paths.
+///
+/// A file's residency and its successor list share one record in a
+/// private per-file directory, so every access makes exactly one hash
+/// probe — for the requested file — and a group fetch walks the
+/// successor chain by slot index.
 #[derive(Debug, Clone)]
 pub struct AggregatingCache {
-    cache: LruCache,
-    table: SuccessorTable<LruSuccessorList>,
-    builder: GroupBuilder,
+    dir: Directory,
+    group_size: usize,
     insertion: InsertionPolicy,
     metadata: MetadataSource,
     accesses: u64,
     group_stats: GroupFetchStats,
     // Size/cost awareness. `None` is the paper's fixed-cost model: every
-    // file is one unit and the code below takes the legacy path
-    // untouched. `Some(assigner)` switches residency accounting to size
-    // units (the count capacity doubles as the unit capacity); with a
-    // uniform assigner the sized path is bit-identical to the legacy one
-    // (the differential fuzzers enforce this, residency order included).
+    // file is one unit and no unit is ever counted. `Some(assigner)`
+    // switches residency accounting to size units (the count capacity
+    // doubles as the unit capacity); with a uniform assigner the sized
+    // configuration is bit-identical to the fixed-cost one (the
+    // differential fuzzers enforce this, residency order included).
     assigner: Option<SizeCostAssigner>,
     units_used: u64,
     // Whole-group (bundle) eviction: reclaiming an LRU victim also
@@ -114,30 +121,34 @@ pub struct AggregatingCache {
     // detaches a file from its fetch group (it has proven independent
     // worth), so bundles shrink to the members that never did.
     bundle_eviction: bool,
-    group_of: FastMap<FileId, u64>,
-    group_members: FastMap<u64, Vec<FileId>>,
+    // Bundle tags by directory slot: the demand fetch (numbered from 1)
+    // that brought the file in, 0 when untagged. Stays empty unless
+    // bundle eviction is on.
+    group_of: Vec<u64>,
+    group_members: FastMap<u64, Vec<u32>>,
     // Scratch buffers reused across misses so steady-state group
     // assembly performs zero heap allocation (group sizes are single
     // digits, so these reach their high-water mark almost immediately).
-    scratch_members: Vec<FileId>,
-    scratch_ranked: Vec<FileId>,
+    members: Vec<u32>,
+    batch: Vec<u32>,
     fetched: Vec<FileId>,
 }
 
 impl AggregatingCache {
-    pub(crate) fn from_parts(
-        cache: LruCache,
-        table: SuccessorTable<LruSuccessorList>,
-        builder: GroupBuilder,
+    /// An empty cache. The builder has validated every argument: all
+    /// three sizes are non-zero and `group_size <= capacity`.
+    pub(crate) fn new(
+        capacity: usize,
+        group_size: usize,
+        successor_capacity: usize,
         insertion: InsertionPolicy,
         metadata: MetadataSource,
         assigner: Option<SizeCostAssigner>,
         bundle_eviction: bool,
     ) -> Self {
         AggregatingCache {
-            cache,
-            table,
-            builder,
+            dir: Directory::new(capacity, successor_capacity),
+            group_size,
             insertion,
             metadata,
             accesses: 0,
@@ -145,17 +156,17 @@ impl AggregatingCache {
             assigner,
             units_used: 0,
             bundle_eviction,
-            group_of: FastMap::default(),
+            group_of: Vec::new(),
             group_members: FastMap::default(),
-            scratch_members: Vec::new(),
-            scratch_ranked: Vec::new(),
+            members: Vec::new(),
+            batch: Vec::new(),
             fetched: Vec::new(),
         }
     }
 
     /// Handles one demand request.
     ///
-    /// Updates the successor table (when the metadata source is
+    /// Updates the successor lists (when the metadata source is
     /// [`MetadataSource::Requests`]), then serves the request: a hit
     /// refreshes LRU position; a miss performs a *group fetch* — the
     /// requested file enters at the MRU head and the group's speculative
@@ -179,202 +190,178 @@ impl AggregatingCache {
     /// callers that need to keep the list copy it out (`to_vec`).
     pub fn handle_access_with_fetch(&mut self, file: FileId) -> (AccessOutcome, Option<&[FileId]>) {
         self.accesses += 1;
+        let slot = self.dir.slot(file);
         if self.metadata == MetadataSource::Requests {
-            self.table.record(file);
+            self.dir.record(slot);
         }
-        if self.cache.contains(file) {
-            if self.bundle_eviction {
-                // The file proved independent worth: detach it from its
-                // fetch group so a bundle eviction no longer reclaims it.
-                self.group_of.remove(&file);
-            }
-            return (self.cache.access(file), None);
+        if self.dir.is_resident(slot) {
+            // The file proved independent worth: detach it from its
+            // fetch group so a bundle eviction no longer reclaims it.
+            self.untag(slot);
+            self.dir.hit(slot);
+            return (AccessOutcome::Hit, None);
         }
-        if let Some(assigner) = self.assigner {
-            return self.sized_miss(file, assigner);
-        }
-        // Demand miss → group fetch. The buffers are taken out of self
-        // so the builder and cache can be borrowed alongside them.
-        self.group_stats.demand_fetches += 1;
-        let mut members = std::mem::take(&mut self.scratch_members);
-        let mut ranked = std::mem::take(&mut self.scratch_ranked);
-        self.builder
-            .build_into(&self.table, file, &mut members, &mut ranked);
-        let outcome = self.cache.access(file); // inserts requested at MRU
-        self.group_stats.files_transferred += 1;
-        let mut fetched = std::mem::take(&mut self.fetched);
-        fetched.clear();
-        fetched.push(file);
-        // A group never displaces its own requested file, so at most
-        // capacity − 1 speculative members enter.
-        let max_members = self.cache.capacity().saturating_sub(1);
-        for &m in &members {
-            if self.cache.contains(m) {
-                self.group_stats.members_already_resident += 1;
-            } else if fetched.len() - 1 < max_members {
-                fetched.push(m);
-            }
-        }
-        self.group_stats.files_transferred += (fetched.len() - 1) as u64;
-        match self.insertion {
-            InsertionPolicy::Tail => self.cache.insert_speculative_batch(&fetched[1..]),
-            InsertionPolicy::Head => {
-                // Place members directly below the requested file. Insert
-                // the whole batch at the tail first — the batch insert
-                // evicts only tail entries and never the just-fetched
-                // requested file — then promote least-confident first and
-                // finally re-assert the requested file at the MRU head.
-                // Promoting resident entries cannot evict, so the
-                // requested file survives its own group fetch at any
-                // capacity ≥ group size.
-                self.cache.insert_speculative_batch(&fetched[1..]);
-                for &m in fetched[1..].iter().rev() {
-                    self.cache.promote_to_head(m);
-                }
-                self.cache.promote_to_head(file);
-            }
-        }
-        self.scratch_members = members;
-        self.scratch_ranked = ranked;
-        self.fetched = fetched;
-        (outcome, Some(&self.fetched))
+        self.group_fetch(file, slot);
+        (AccessOutcome::Miss, Some(&self.fetched))
     }
 
-    /// The capacity in size units. The count capacity doubles as the
-    /// unit capacity: with uniform sizes (one unit per file) the two
-    /// accountings coincide, which is what makes the sized path
-    /// degenerate bit-identically to the legacy one.
-    fn unit_capacity(&self) -> u64 {
-        self.cache.capacity() as u64
-    }
-
-    /// Evicts `file`, keeping the unit and group accounting in sync.
-    fn evict_sized(&mut self, file: FileId, assigner: SizeCostAssigner) {
-        if self.cache.evict_file(file) {
-            self.units_used -= u64::from(assigner.size_of(file));
-            self.group_of.remove(&file);
-        }
-    }
-
-    /// Evicts until `need` more units fit, mirroring the legacy victim
-    /// sequence: always the LRU tail next — except under bundle
-    /// eviction, where the tail victim's whole still-attached fetch
-    /// group goes with it.
+    /// The demand-miss path: fetch the requested file plus up to `g − 1`
+    /// chained successors that are not yet resident.
     ///
-    /// Callers guarantee `need` fits the cache with the current fetch's
-    /// already-admitted files untagged, so the loop never reclaims them.
-    fn make_units_room(&mut self, need: u64, assigner: SizeCostAssigner) {
-        while self.units_used + need > self.unit_capacity() {
-            let Some(victim) = self.cache.lru() else {
-                break;
-            };
-            if self.bundle_eviction {
-                if let Some(&gid) = self.group_of.get(&victim) {
-                    if let Some(members) = self.group_members.remove(&gid) {
-                        for m in members {
-                            // Only still-attached members: files re-fetched
-                            // under a later group (or demand-hit, which
-                            // detaches) stay resident.
-                            if self.group_of.get(&m) == Some(&gid) {
-                                self.evict_sized(m, assigner);
-                            }
-                        }
-                        continue; // the tagged victim was in its own group
-                    }
-                }
-            }
-            self.evict_sized(victim, assigner);
-        }
-    }
-
-    /// The demand-miss path when files carry sizes: admission, eviction
-    /// and the transfer ledger all run in size units, and a fetched
-    /// group is charged and (optionally) evicted as a unit.
-    ///
-    /// The operation order deliberately mirrors the legacy path step for
-    /// step — room for the requested file, admit it, member scan, room
-    /// for the member batch, batch insert — so a uniform assigner
-    /// reproduces the legacy victim sequence exactly.
-    fn sized_miss(
-        &mut self,
-        file: FileId,
-        assigner: SizeCostAssigner,
-    ) -> (AccessOutcome, Option<&[FileId]>) {
+    /// The operation order is the same in both cost models — walk the
+    /// chain, admit the requested file (evicting for it), scan the
+    /// members, make room for the member batch, insert the batch — so a
+    /// uniform assigner reproduces the fixed-cost victim sequence
+    /// exactly. Sized, admission and the transfer ledger run in size
+    /// units and a fetched group is charged (and optionally evicted) as a
+    /// unit; fixed-cost, every unit count below is zero.
+    fn group_fetch(&mut self, file: FileId, slot: u32) {
         self.group_stats.demand_fetches += 1;
-        let file_units = u64::from(assigner.size_of(file));
-        let mut fetched = std::mem::take(&mut self.fetched);
-        fetched.clear();
-        fetched.push(file);
+        self.fetched.clear();
+        self.fetched.push(file);
+        self.batch.clear();
+        let file_units = self.units_of(slot);
         if file_units > self.unit_capacity() {
             // Larger than the whole cache: the fetch happens (and is
             // charged) but admission is impossible, and speculating on
             // group members of a file we cannot even keep is pointless.
-            self.cache.record_bypass_miss();
+            self.dir.record_miss();
             self.group_stats.files_transferred += 1;
             self.group_stats.size_units_transferred += file_units;
-            self.fetched = fetched;
-            return (AccessOutcome::Miss, Some(&self.fetched));
+            return;
         }
-        let mut members = std::mem::take(&mut self.scratch_members);
-        let mut ranked = std::mem::take(&mut self.scratch_ranked);
-        self.builder
-            .build_into(&self.table, file, &mut members, &mut ranked);
-        self.make_units_room(file_units, assigner);
-        let outcome = self.cache.access(file);
+        let mut members = std::mem::take(&mut self.members);
+        self.dir.chain_into(slot, self.group_size - 1, &mut members);
+        self.make_units_room(file_units);
+        self.dir.admit(slot);
         self.units_used += file_units;
         self.group_stats.files_transferred += 1;
-        // Bundle-aware admission: members join while the group's
-        // cumulative footprint still fits alongside the requested file;
-        // the rest of the group is trimmed, not force-fit.
-        let max_members = self.cache.capacity().saturating_sub(1);
+        // A group never displaces its own requested file, so at most
+        // capacity − 1 speculative members enter. Sized, members join
+        // while the group's cumulative footprint still fits alongside the
+        // requested file; the rest of the group is trimmed, not force-fit.
+        let max_members = self.dir.capacity() - 1;
         let mut batch_units = 0u64;
         for &m in &members {
-            if self.cache.contains(m) {
+            if self.dir.is_resident(m) {
                 self.group_stats.members_already_resident += 1;
-            } else if fetched.len() - 1 < max_members {
-                let m_units = u64::from(assigner.size_of(m));
+            } else if self.batch.len() < max_members {
+                let m_units = self.units_of(m);
                 if file_units + batch_units + m_units <= self.unit_capacity() {
-                    fetched.push(m);
+                    self.batch.push(m);
                     batch_units += m_units;
                 }
             }
         }
-        self.group_stats.files_transferred += (fetched.len() - 1) as u64;
+        self.members = members;
+        self.group_stats.files_transferred += self.batch.len() as u64;
         self.group_stats.size_units_transferred += file_units + batch_units;
         // Room for the whole batch up front (the group is charged as a
-        // unit), so the inner cache never evicts on its own and batch
-        // members cannot displace each other — or the requested file,
-        // which is still untagged and sits at the MRU head.
-        self.make_units_room(batch_units, assigner);
-        match self.insertion {
-            InsertionPolicy::Tail => self.cache.insert_speculative_batch(&fetched[1..]),
-            InsertionPolicy::Head => {
-                self.cache.insert_speculative_batch(&fetched[1..]);
-                for &m in fetched[1..].iter().rev() {
-                    self.cache.promote_to_head(m);
-                }
-                self.cache.promote_to_head(file);
+        // unit), so batch members cannot displace each other — or the
+        // requested file, which is still untagged and sits at the MRU
+        // head.
+        self.make_units_room(batch_units);
+        self.dir.insert_speculative_batch(&self.batch);
+        if self.insertion == InsertionPolicy::Head {
+            // Place members directly below the requested file: promote
+            // least-confident first, then re-assert the requested file at
+            // the MRU head. Promoting resident entries cannot evict, so
+            // the requested file survives its own group fetch at any
+            // capacity >= group size.
+            for &m in self.batch.iter().rev() {
+                self.dir.promote(m);
             }
+            self.dir.promote(slot);
         }
         self.units_used += batch_units;
+        let dir = &self.dir;
+        self.fetched.extend(self.batch.iter().map(|&m| dir.file(m)));
         if self.bundle_eviction {
             let gid = self.group_stats.demand_fetches;
-            for &f in &fetched {
-                self.group_of.insert(f, gid);
+            let mut group = Vec::with_capacity(1 + self.batch.len());
+            group.push(slot);
+            group.extend_from_slice(&self.batch);
+            let tags = &mut self.group_of;
+            for &s in &group {
+                let s = s as usize;
+                if tags.len() <= s {
+                    tags.resize(s + 1, 0);
+                }
+                tags[s] = gid;
             }
-            self.group_members.insert(gid, fetched.clone());
+            self.group_members.insert(gid, group);
         }
-        self.scratch_members = members;
-        self.scratch_ranked = ranked;
-        self.fetched = fetched;
-        (outcome, Some(&self.fetched))
     }
 
-    /// Feeds one access observation into the successor table without
-    /// touching the cache — piggy-backed client statistics arriving at a
+    /// The capacity in size units. The count capacity doubles as the
+    /// unit capacity: with uniform sizes (one unit per file) the two
+    /// accountings coincide, which is what makes the sized configuration
+    /// degenerate bit-identically to the fixed-cost one.
+    fn unit_capacity(&self) -> u64 {
+        self.dir.capacity() as u64
+    }
+
+    /// The slot's size in units; 0 in the fixed-cost configuration.
+    fn units_of(&self, slot: u32) -> u64 {
+        self.assigner
+            .map_or(0, |a| u64::from(a.size_of(self.dir.file(slot))))
+    }
+
+    /// The slot's bundle tag, 0 when untagged.
+    fn tag_of(&self, slot: u32) -> u64 {
+        self.group_of.get(slot as usize).copied().unwrap_or(0)
+    }
+
+    fn untag(&mut self, slot: u32) {
+        if let Some(tag) = self.group_of.get_mut(slot as usize) {
+            *tag = 0;
+        }
+    }
+
+    /// Evicts `slot`, keeping the unit and group accounting in sync.
+    fn evict_sized(&mut self, slot: u32) {
+        if self.dir.evict(slot) {
+            self.units_used -= self.units_of(slot);
+            self.untag(slot);
+        }
+    }
+
+    /// Evicts until `need` more units fit: always the LRU tail next —
+    /// except under bundle eviction, where the tail victim's whole
+    /// still-attached fetch group goes with it. Never loops in the
+    /// fixed-cost configuration, where no unit is counted.
+    ///
+    /// Callers guarantee `need` fits the cache with the current fetch's
+    /// already-admitted files untagged, so the loop never reclaims them.
+    fn make_units_room(&mut self, need: u64) {
+        while self.units_used + need > self.unit_capacity() {
+            let Some(victim) = self.dir.lru() else {
+                break;
+            };
+            let gid = self.tag_of(victim);
+            if gid != 0 {
+                if let Some(members) = self.group_members.remove(&gid) {
+                    for m in members {
+                        // Only still-attached members: files re-fetched
+                        // under a later group (or demand-hit, which
+                        // detaches) stay resident.
+                        if self.tag_of(m) == gid {
+                            self.evict_sized(m);
+                        }
+                    }
+                    continue; // the tagged victim was in its own group
+                }
+            }
+            self.evict_sized(victim);
+        }
+    }
+
+    /// Feeds one access observation into the successor lists without
+    /// touching residency — piggy-backed client statistics arriving at a
     /// server-deployed aggregating cache.
     pub fn observe_metadata(&mut self, file: FileId) {
-        self.table.record(file);
+        let slot = self.dir.slot(file);
+        self.dir.record(slot);
     }
 
     /// Demand fetches performed so far (the paper's Figure 3 metric;
@@ -385,7 +372,7 @@ impl AggregatingCache {
 
     /// Demand hit rate over all handled requests.
     pub fn hit_rate(&self) -> f64 {
-        self.cache.stats().hit_rate()
+        self.dir.stats().hit_rate()
     }
 
     /// Requests handled.
@@ -417,22 +404,23 @@ impl AggregatingCache {
 
     /// The configured group size `g`.
     pub fn group_size(&self) -> usize {
-        self.builder.group_size()
+        self.group_size
     }
 
-    /// The successor table (for inspection and analysis).
-    pub fn successor_table(&self) -> &SuccessorTable<LruSuccessorList> {
-        &self.table
+    /// Files with at least one recorded successor, in unspecified order
+    /// (for metadata accounting and partition audits).
+    pub fn tracked_files(&self) -> impl Iterator<Item = FileId> + '_ {
+        self.dir.tracked_files()
     }
 
     /// Metadata footprint: total successor entries tracked.
     pub fn metadata_entries(&self) -> usize {
-        self.table.metadata_entries()
+        self.dir.metadata_entries()
     }
 
     /// Resident files in MRU→LRU order (for partition audits and tests).
     pub fn residents(&self) -> impl Iterator<Item = FileId> + '_ {
-        self.cache.iter_mru()
+        self.dir.iter_mru()
     }
 }
 
@@ -442,38 +430,33 @@ impl Cache for AggregatingCache {
     }
 
     fn insert_speculative(&mut self, file: FileId) -> bool {
-        let Some(assigner) = self.assigner else {
-            return self.cache.insert_speculative(file);
-        };
-        if self.cache.contains(file) {
+        let slot = self.dir.slot(file);
+        if self.dir.is_resident(slot) {
             return false;
         }
-        let units = u64::from(assigner.size_of(file));
+        let units = self.units_of(slot);
         if units > self.unit_capacity() {
             return false;
         }
-        self.make_units_room(units, assigner);
-        let inserted = self.cache.insert_speculative(file);
-        if inserted {
-            self.units_used += units;
-        }
-        inserted
+        self.make_units_room(units);
+        self.units_used += units;
+        self.dir.insert_speculative(slot)
     }
 
     fn contains(&self, file: FileId) -> bool {
-        self.cache.contains(file)
+        self.dir.find(file).is_some_and(|s| self.dir.is_resident(s))
     }
 
     fn len(&self) -> usize {
-        self.cache.len()
+        self.dir.len()
     }
 
     fn capacity(&self) -> usize {
-        self.cache.capacity()
+        self.dir.capacity()
     }
 
     fn stats(&self) -> &CacheStats {
-        self.cache.stats()
+        self.dir.stats()
     }
 
     fn name(&self) -> &'static str {
@@ -481,8 +464,7 @@ impl Cache for AggregatingCache {
     }
 
     fn clear(&mut self) {
-        self.table = self.table.fresh_like();
-        self.cache.clear();
+        self.dir.clear();
         self.accesses = 0;
         self.group_stats = GroupFetchStats::default();
         self.units_used = 0;
@@ -492,16 +474,15 @@ impl Cache for AggregatingCache {
 
     fn check_invariants(&self) -> Result<(), InvariantViolation> {
         let err = |detail: String| Err(InvariantViolation::new("AggregatingCache", detail));
-        self.cache.check_invariants()?;
-        self.table.check_invariants()?;
+        self.dir.check_invariants()?;
         let gs = &self.group_stats;
+        let stats = self.dir.stats();
         // Every demand fetch is an LRU miss and moves at least the
         // requested file, at most the whole group.
-        if gs.demand_fetches != self.cache.stats().misses {
+        if gs.demand_fetches != stats.misses {
             return err(format!(
                 "{} demand fetches but {} recorded misses",
-                gs.demand_fetches,
-                self.cache.stats().misses
+                gs.demand_fetches, stats.misses
             ));
         }
         if gs.files_transferred < gs.demand_fetches {
@@ -510,13 +491,26 @@ impl Cache for AggregatingCache {
                 gs.files_transferred, gs.demand_fetches
             ));
         }
-        let g = self.builder.group_size() as u64;
+        let g = self.group_size as u64;
         if gs.files_transferred > gs.demand_fetches.saturating_mul(g) {
             return err(format!(
                 "{} files transferred exceeds {} fetches x group size {g}",
                 gs.files_transferred, gs.demand_fetches
             ));
         }
+        if self.group_of.len() > self.dir.files() {
+            return err(format!(
+                "{} group tags for {} directory records",
+                self.group_of.len(),
+                self.dir.files()
+            ));
+        }
+        let tagged = || {
+            (0u32..)
+                .zip(&self.group_of)
+                .filter(|&(_, &gid)| gid != 0)
+                .map(|(slot, _)| slot)
+        };
         match self.assigner {
             None => {
                 // Fixed-cost configuration: none of the sized machinery
@@ -533,7 +527,7 @@ impl Cache for AggregatingCache {
                         gs.size_units_transferred
                     ));
                 }
-                if !self.group_of.is_empty() || !self.group_members.is_empty() {
+                if tagged().next().is_some() || !self.group_members.is_empty() {
                     return err("group tags present without a size assigner".to_string());
                 }
             }
@@ -546,7 +540,7 @@ impl Cache for AggregatingCache {
                     ));
                 }
                 let resident: u64 = self
-                    .cache
+                    .dir
                     .iter_mru()
                     .map(|f| u64::from(assigner.size_of(f)))
                     .sum();
@@ -563,12 +557,15 @@ impl Cache for AggregatingCache {
                         gs.size_units_transferred, gs.files_transferred
                     ));
                 }
-                for &f in self.group_of.keys() {
-                    if !self.cache.contains(f) {
-                        return err(format!("group tag for non-resident {f}"));
+                for slot in tagged() {
+                    if !self.dir.is_resident(slot) {
+                        return err(format!(
+                            "group tag for non-resident {}",
+                            self.dir.file(slot)
+                        ));
                     }
                 }
-                if !self.bundle_eviction && !self.group_of.is_empty() {
+                if !self.bundle_eviction && tagged().next().is_some() {
                     return err("group tags present without bundle eviction".to_string());
                 }
             }
@@ -581,6 +578,7 @@ impl Cache for AggregatingCache {
 mod tests {
     use super::*;
     use crate::AggregatingCacheBuilder;
+    use fgcache_cache::LruCache;
     use fgcache_types::sizing::SizeDistribution;
 
     fn agg(capacity: usize, g: usize) -> AggregatingCache {
@@ -625,17 +623,26 @@ mod tests {
 
     #[test]
     fn requested_file_is_mru_members_at_tail() {
-        let mut a = agg(10, 3);
+        // Warm residents 10, 11; then a cold miss on 1 with the known
+        // chain 1→2→3 puts 1 at the MRU head and appends the members at
+        // the LRU tail in chain order, below every confirmed entry.
+        let mut a = AggregatingCacheBuilder::new(10)
+            .group_size(3)
+            .metadata_source(MetadataSource::External)
+            .build()
+            .unwrap();
         for id in [1u64, 2, 3, 1, 2, 3] {
-            a.handle_access(FileId(id));
+            a.observe_metadata(FileId(id));
         }
-        // Access a cold file with a known chain 1→2→3.
-        let mut a2 = agg(10, 3);
-        for id in [1u64, 2, 3, 1, 2, 3] {
-            a2.observe_metadata(FileId(id));
-        }
-        // metadata external; no residency yet
-        assert_eq!(a2.len(), 0);
+        a.handle_access(FileId(10));
+        a.handle_access(FileId(11));
+        assert!(a.handle_access(FileId(1)).is_miss());
+        let order: Vec<FileId> = a.residents().collect();
+        assert_eq!(
+            order,
+            vec![FileId(1), FileId(11), FileId(10), FileId(2), FileId(3)]
+        );
+        a.check_invariants().unwrap();
     }
 
     #[test]
@@ -1006,7 +1013,7 @@ mod tests {
         c.units_used -= 1;
         assert!(c.check_invariants().is_ok());
         // Group tags without bundle eviction are a contract violation.
-        c.group_of.insert(FileId(0), 1);
+        c.group_of.push(1);
         assert!(c.check_invariants().is_err(), "stray group tag undetected");
     }
 
@@ -1022,6 +1029,6 @@ mod tests {
         }
         // ≤ 100 files × 3 successors.
         assert!(a.metadata_entries() <= 300);
-        assert_eq!(a.successor_table().tracked_files(), 100);
+        assert_eq!(a.tracked_files().count(), 100);
     }
 }

@@ -1,7 +1,5 @@
 //! Builder for [`AggregatingCache`].
 
-use fgcache_cache::LruCache;
-use fgcache_successor::{GroupBuilder, LruSuccessorList, SuccessorTable};
 use fgcache_types::sizing::SizeCostAssigner;
 use fgcache_types::ValidationError;
 
@@ -126,13 +124,22 @@ impl AggregatingCacheBuilder {
                 "bundle eviction requires a size assigner (use .sizes())",
             ));
         }
-        let builder = GroupBuilder::new(self.group_size)?;
-        let table = SuccessorTable::new(LruSuccessorList::new(self.successor_capacity)?);
-        let cache = LruCache::new(self.capacity);
-        Ok(AggregatingCache::from_parts(
-            cache,
-            table,
-            builder,
+        if self.group_size == 0 {
+            return Err(ValidationError::new(
+                "group_size",
+                "groups contain at least the requested file",
+            ));
+        }
+        if self.successor_capacity == 0 {
+            return Err(ValidationError::new(
+                "capacity",
+                "successor list capacity must be at least 1",
+            ));
+        }
+        Ok(AggregatingCache::new(
+            self.capacity,
+            self.group_size,
+            self.successor_capacity,
             self.insertion,
             self.metadata,
             self.sizes,

@@ -476,7 +476,7 @@ impl ShardedAggregatingCache {
                     ));
                 }
             }
-            for (file, _) in guard.successor_table().iter() {
+            for file in guard.tracked_files() {
                 let owner = shard_index(file, self.shards.len());
                 if owner != i {
                     return err(format!(

@@ -34,10 +34,12 @@
 //!    In particular `fgcache-cluster` proxies to peers via injected
 //!    transports and never dials sockets itself.
 //!
-//! `fuzz` runs the differential fuzzers — the sharded-composition suite
-//! and the policy/two-level suite — over a bounded deterministic seed
-//! set (exported as `FGCACHE_FUZZ_SEEDS`), so CI exercises more seeds
-//! than the in-repo defaults without ever becoming flaky.
+//! `fuzz` runs the differential fuzzers — the aggregating-cache
+//! directory suite, the sharded-composition suite, the policy/two-level
+//! suite and the trace malformed-input suite — over a bounded
+//! deterministic seed set (exported as `FGCACHE_FUZZ_SEEDS`), so CI
+//! exercises more seeds than the in-repo defaults without ever becoming
+//! flaky.
 //!
 //! `bench-smoke` runs the smoke benchmarks for fixed small event counts
 //! and writes `BENCH_hot_path.json`, `BENCH_cost.json`,
@@ -218,17 +220,30 @@ fn lint(root: &Path) -> ExitCode {
 /// the gate flaky.
 const FUZZ_SEEDS: &str = "0xfeedface,0xbadc0ffe,1,42,20020702";
 
-/// Runs the differential fuzzers over [`FUZZ_SEEDS`]: the sharded
-/// aggregating-cache composition suite and the trace malformed-input
-/// suite (both read `FGCACHE_FUZZ_SEEDS`), plus the policy + two-level
-/// suite (fixed internal seeds).
+/// Runs the differential fuzzers over [`FUZZ_SEEDS`]: the aggregating
+/// cache's directory suite (against the `LruCache` + `SuccessorTable`
+/// composition it replaced), the sharded aggregating-cache composition
+/// suite and the trace malformed-input suite (all three read
+/// `FGCACHE_FUZZ_SEEDS`), plus the policy + two-level suite (fixed
+/// internal seeds).
 fn fuzz(root: &Path) -> ExitCode {
     fuzz_with_seeds(root, FUZZ_SEEDS)
 }
 
 /// One pass of all fuzz suites under an explicit seed list.
 fn fuzz_with_seeds(root: &Path, seeds: &str) -> ExitCode {
-    let suites: [(&str, &[&str]); 3] = [
+    let suites: [(&str, &[&str]); 4] = [
+        (
+            "aggregating-cache directory fuzzer",
+            &[
+                "test",
+                "-q",
+                "-p",
+                "fgcache-core",
+                "--test",
+                "directory_differential",
+            ],
+        ),
         (
             "sharded composition fuzzer",
             &[

@@ -63,13 +63,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for ev in trace.events() {
         cache.handle_access(ev.file);
     }
-    let table = cache.successor_table();
+    let tracked = cache.tracked_files().count();
     println!(
         "\nmetadata footprint: {} files tracked, {} successor entries total \
          ({:.2} per file)",
-        table.tracked_files(),
+        tracked,
         cache.metadata_entries(),
-        cache.metadata_entries() as f64 / table.tracked_files().max(1) as f64,
+        cache.metadata_entries() as f64 / tracked.max(1) as f64,
     );
     println!(
         "prefetch accuracy: {:.1}% of speculative fetches were used",

@@ -194,7 +194,7 @@ fn aggregating_cache_beats_probability_graph_baseline_on_drifting_workload() {
     // The metadata argument, made concrete: the aggregating cache keeps a
     // small bounded list per file, while the lookahead graph accumulates
     // unbounded windowed edges — several times the footprint here.
-    assert!(agg.metadata_entries() <= agg.successor_table().tracked_files() * 8);
+    assert!(agg.metadata_entries() <= agg.tracked_files().count() * 8);
     assert!(
         pg.edge_count() > 2 * agg.metadata_entries(),
         "probgraph edges {} vs successor entries {}",
