@@ -1,6 +1,5 @@
 #!/usr/bin/env sh
-# The canonical local quality gate. Every step must pass before a push;
-# the same sequence is available as `cargo run -p xtask -- ci`.
+# The canonical local quality gate. Every step must pass before a push.
 #
 # Flags:
 #   --miri   also run the nightly Miri job (visibly skipped when the
@@ -48,10 +47,6 @@ echo "==> cluster smoke: 3-process TCP fleet with mid-replay join/leave (byte-ex
 
 echo "==> planner validation: Che prediction vs streamed LRU simulator (2pp tolerance gate)"
 ./target/release/fgcache plan --validate true --events 10000000 --seed 2002
-
-echo "==> cargo run -p xtask -- bench-smoke (perf record + 256-connection event-server smoke:"
-echo "    byte-identity vs oracle and bounded RSS are enforced; wall-clock is record-only)"
-cargo run -p xtask -- bench-smoke
 
 echo "==> benchmark/check.sh (the standalone benchmark package: fmt, clippy, tests, smoke run of every workload)"
 ./benchmark/check.sh

@@ -1,24 +1,11 @@
-//! Shared plumbing for the figure-reproduction binaries and benches.
-//!
-//! Every `repro_*` binary in this crate regenerates one table or figure
-//! of the paper's evaluation at a standard scale, prints it as an aligned
-//! table and writes a CSV under `results/`. All runs are deterministic:
-//! fixed seed, fixed event counts.
-//!
-//! | binary | reproduces |
-//! |--------|------------|
-//! | `repro_fig3` | Figure 3 — client demand fetches vs capacity per group size |
-//! | `repro_fig4` | Figure 4 — server hit rate vs intervening-filter capacity |
-//! | `repro_fig5` | Figure 5 — P(miss future successor) vs list capacity |
-//! | `repro_fig7` | Figure 7 — successor entropy vs symbol length, 4 workloads |
-//! | `repro_fig8` | Figure 8 — filtered successor entropy vs symbol length |
-//! | `repro_headline` | §1/§6 headline claims summary |
-//! | `repro_all` | all of the above, in order |
+//! Shared plumbing for the `repro` binary, which regenerates the
+//! paper's evaluation: `repro <figure>` prints one table or figure at a
+//! standard scale as an aligned table and writes its CSV under
+//! `results/`. All runs are deterministic: fixed seed, fixed event
+//! counts. The binary's docs list the figure names and expected shapes.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-
-pub mod harness;
 
 use std::fs;
 use std::io::Write as _;
@@ -49,34 +36,6 @@ pub fn standard_trace(profile: WorkloadProfile) -> Trace {
         .generate()
 }
 
-/// Generates a reduced-scale trace (for smoke tests of the binaries).
-///
-/// # Panics
-///
-/// Panics if the built-in profile configuration fails validation (a bug).
-pub fn small_trace(profile: WorkloadProfile) -> Trace {
-    SynthConfig::profile(profile)
-        .events(20_000)
-        .seed(STANDARD_SEED)
-        .build()
-        .expect("built-in profiles are valid")
-        .generate()
-}
-
-/// `num / den` as a float, or `0.0` when the denominator is zero.
-///
-/// Benchmark summaries divide by event/access counts that can be zero in
-/// smoke or degenerate configurations; `0/0` would put `NaN` into the
-/// printed tables and the JSON summaries (which have no way to represent
-/// it), so reporting code must divide through this guard.
-pub fn ratio(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
-    }
-}
-
 /// Prints a table to stdout and writes its CSV under `results/<name>.csv`
 /// (directory created on demand). Returns the CSV path.
 ///
@@ -97,20 +56,6 @@ pub fn emit(name: &str, table: &Table) -> std::io::Result<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn standard_traces_have_standard_length() {
-        let t = small_trace(WorkloadProfile::Server);
-        assert_eq!(t.len(), 20_000);
-    }
-
-    #[test]
-    fn ratio_is_zero_not_nan_on_zero_denominator() {
-        assert_eq!(ratio(0, 0), 0.0);
-        assert_eq!(ratio(5, 0), 0.0);
-        assert!((ratio(1, 4) - 0.25).abs() < 1e-12);
-        assert!(ratio(0, 0).is_finite(), "must never leak NaN into JSON");
-    }
 
     #[test]
     fn emit_writes_csv() {

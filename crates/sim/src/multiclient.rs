@@ -1,148 +1,28 @@
-//! Multi-client replay against the sharded server tier.
+//! Multi-client replay against the server tier.
 //!
 //! The paper's server deployment (§4.3) aggregates *many* clients, each
-//! behind its own cache, with no client cooperation. This driver builds
+//! behind its own cache, with no client cooperation. These drivers build
 //! that topology end to end: `K` clients, each with a private
-//! [`FilterCache`] front-end, replay their traces against one shared
-//! [`ShardedAggregatingCache`] — either concurrently (one scoped thread
-//! per client, the production shape) or as a deterministic round-robin
-//! interleave (the reproducible-metrics shape). The sweep replays the
-//! same client workload against a range of shard counts and reports
-//! aggregate hit rates, demand fetches and per-shard load imbalance.
+//! [`FilterCache`] front-end, send their misses to one shared server.
+//! [`run_multiclient_transport`] replays one materialised trace per
+//! client through a [`Transport`] each (in process, simulated or over
+//! TCP), either concurrently (one scoped thread per client) or as a
+//! deterministic round-robin interleave. [`run_multiclient_stream`]
+//! replays a single event stream too large to hold in memory against an
+//! in-process [`ShardedAggregatingCache`], dealing its events to the
+//! clients round-robin ([`split_round_robin`] does the same split on a
+//! materialised trace).
 
 use std::fmt;
 use std::time::{Duration, Instant};
 
 use fgcache_cache::{FilterCache, LruCache};
-use fgcache_core::{ShardedAggregatingCache, ShardedAggregatingCacheBuilder};
+use fgcache_core::ShardedAggregatingCache;
 use fgcache_net::{request_id, GroupRequest, Transport, TransportStats};
-use fgcache_trace::synth::{SynthConfig, WorkloadProfile};
 use fgcache_trace::Trace;
 use fgcache_types::{AccessEvent, TransportError, ValidationError};
 
-use crate::report::{fmt2, pct, Table};
-
-/// Parameter grid for the multi-client sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultiClientConfig {
-    /// Number of concurrent clients `K`.
-    pub clients: usize,
-    /// Shard counts to sweep (e.g. `[1, 2, 4, 8]`).
-    pub shard_counts: Vec<usize>,
-    /// Synthetic events generated per client.
-    pub events_per_client: usize,
-    /// Capacity of each client's private filter cache.
-    pub filter_capacity: usize,
-    /// Total capacity of the shared server tier (split across shards).
-    pub server_capacity: usize,
-    /// Server-side group size `g`.
-    pub group_size: usize,
-    /// Server-side successor list capacity.
-    pub successor_capacity: usize,
-    /// Base seed; client `i` generates its trace from `seed + i`.
-    pub seed: u64,
-    /// Workload profile each client draws from.
-    pub profile: WorkloadProfile,
-    /// Replay concurrently with one scoped thread per client (true), or
-    /// as a deterministic round-robin interleave (false). Aggregate
-    /// totals match either way; concurrent runs interleave the shard
-    /// streams nondeterministically.
-    pub concurrent: bool,
-}
-
-impl MultiClientConfig {
-    /// The ISSUE's sweep: 4 clients × 1/2/4/8 shards.
-    pub fn standard() -> Self {
-        MultiClientConfig {
-            clients: 4,
-            shard_counts: vec![1, 2, 4, 8],
-            events_per_client: 25_000,
-            filter_capacity: 100,
-            server_capacity: 400,
-            group_size: 5,
-            successor_capacity: 8,
-            seed: 20020702,
-            profile: WorkloadProfile::Server,
-            concurrent: true,
-        }
-    }
-
-    /// A reduced grid for quick runs and tests.
-    pub fn quick() -> Self {
-        MultiClientConfig {
-            clients: 2,
-            shard_counts: vec![1, 2],
-            events_per_client: 2_000,
-            filter_capacity: 50,
-            server_capacity: 120,
-            group_size: 3,
-            successor_capacity: 4,
-            seed: 7,
-            profile: WorkloadProfile::Server,
-            concurrent: false,
-        }
-    }
-
-    fn validate(&self) -> Result<(), ValidationError> {
-        if self.clients == 0 {
-            return Err(ValidationError::new("clients", "at least one client"));
-        }
-        if self.events_per_client == 0 {
-            return Err(ValidationError::new(
-                "events_per_client",
-                "must be greater than zero",
-            ));
-        }
-        if self.filter_capacity == 0 {
-            return Err(ValidationError::new(
-                "filter_capacity",
-                "must be greater than zero",
-            ));
-        }
-        if self.shard_counts.is_empty() {
-            return Err(ValidationError::new("shard_counts", "must not be empty"));
-        }
-        for &shards in &self.shard_counts {
-            // Delegate slice-size validation (smallest slice must hold a
-            // whole group) to the builder.
-            self.server(shards)?;
-        }
-        Ok(())
-    }
-
-    fn server(&self, shards: usize) -> Result<ShardedAggregatingCache, ValidationError> {
-        ShardedAggregatingCacheBuilder::new(self.server_capacity)
-            .shards(shards)
-            .group_size(self.group_size)
-            .successor_capacity(self.successor_capacity)
-            .build()
-    }
-
-    /// Generates the `K` per-client synthetic traces (client `i` is
-    /// seeded with `seed + i`, so clients are independent but the whole
-    /// sweep is reproducible).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ValidationError`] for a zero client count or event
-    /// count.
-    pub fn client_traces(&self) -> Result<Vec<Trace>, ValidationError> {
-        if self.clients == 0 {
-            return Err(ValidationError::new("clients", "at least one client"));
-        }
-        (0..self.clients)
-            .map(|i| {
-                Ok(SynthConfig::profile(self.profile)
-                    .events(self.events_per_client)
-                    .seed(self.seed + i as u64)
-                    .build()?
-                    .generate())
-            })
-            .collect()
-    }
-}
-
-/// One measured point of the multi-client sweep.
+/// The measured outcome of a streaming multi-client replay.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiClientPoint {
     /// Shard count for this point.
@@ -170,193 +50,6 @@ pub struct MultiClientPoint {
     pub imbalance: f64,
     /// Wall-clock replay time (excludes trace generation).
     pub elapsed: Duration,
-}
-
-/// Replays `traces` (one per client) against a fresh sharded server and
-/// measures the aggregate behaviour. Each client runs behind its own
-/// `FilterCache<LruCache>` of `filter_capacity`; misses forward to the
-/// shared server. `concurrent` selects scoped threads vs the
-/// deterministic round-robin interleave.
-///
-/// # Errors
-///
-/// Returns a [`ValidationError`] if `traces` is empty, the filter
-/// capacity is zero, or the server configuration is invalid for
-/// `shards`.
-pub fn run_multiclient(
-    traces: &[Trace],
-    shards: usize,
-    filter_capacity: usize,
-    server_capacity: usize,
-    group_size: usize,
-    successor_capacity: usize,
-    concurrent: bool,
-) -> Result<MultiClientPoint, ValidationError> {
-    let server = ShardedAggregatingCacheBuilder::new(server_capacity)
-        .shards(shards)
-        .group_size(group_size)
-        .successor_capacity(successor_capacity)
-        .build()?;
-    run_multiclient_on(&server, traces, filter_capacity, concurrent)
-}
-
-/// Like [`run_multiclient`] but replays against a caller-built `server` —
-/// the hook for non-default server configurations (e.g. sized files
-/// via [`ShardedAggregatingCacheBuilder::sizes`]). The server should be
-/// freshly built; its statistics are read after the replay.
-///
-/// # Errors
-///
-/// Returns a [`ValidationError`] if `traces` is empty or the filter
-/// capacity is zero.
-pub fn run_multiclient_on(
-    server: &ShardedAggregatingCache,
-    traces: &[Trace],
-    filter_capacity: usize,
-    concurrent: bool,
-) -> Result<MultiClientPoint, ValidationError> {
-    if traces.is_empty() {
-        return Err(ValidationError::new("traces", "at least one client trace"));
-    }
-    if filter_capacity == 0 {
-        return Err(ValidationError::new(
-            "filter_capacity",
-            "must be greater than zero",
-        ));
-    }
-    let shards = server.shard_count();
-    let start = Instant::now();
-    let (client_hits, client_accesses) = if concurrent {
-        replay_concurrent(server, traces, filter_capacity)
-    } else {
-        replay_round_robin(server, traces, filter_capacity)
-    };
-    let elapsed = start.elapsed();
-    let stats = server.stats();
-    debug_assert!(server.check_invariants().is_ok());
-    Ok(MultiClientPoint {
-        shards,
-        clients: traces.len(),
-        events: client_accesses,
-        client_hits,
-        client_misses: client_accesses - client_hits,
-        client_hit_rate: if client_accesses == 0 {
-            0.0
-        } else {
-            client_hits as f64 / client_accesses as f64
-        },
-        server_hit_rate: stats.hit_rate(),
-        server_accesses: stats.accesses,
-        demand_fetches: server.demand_fetches(),
-        imbalance: server.shard_imbalance(),
-        elapsed,
-    })
-}
-
-/// One scoped thread per client — the topology the shards exist for.
-/// Returns aggregate (client hits, client accesses).
-fn replay_concurrent(
-    server: &ShardedAggregatingCache,
-    traces: &[Trace],
-    filter_capacity: usize,
-) -> (u64, u64) {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = traces
-            .iter()
-            .map(|trace| {
-                scope.spawn(move || {
-                    let mut filter = FilterCache::new(LruCache::new(filter_capacity));
-                    for ev in trace.events() {
-                        if filter.offer_file(ev.file) {
-                            server.handle_access(ev.file);
-                        }
-                    }
-                    let stats = *filter.stats();
-                    (stats.hits, stats.accesses)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client replay thread panicked"))
-            .fold((0, 0), |(h, a), (hh, aa)| (h + hh, a + aa))
-    })
-}
-
-/// Deterministic single-threaded interleave: clients take turns, one
-/// event per turn, until every trace is drained.
-fn replay_round_robin(
-    server: &ShardedAggregatingCache,
-    traces: &[Trace],
-    filter_capacity: usize,
-) -> (u64, u64) {
-    let mut filters: Vec<FilterCache<LruCache>> = traces
-        .iter()
-        .map(|_| FilterCache::new(LruCache::new(filter_capacity)))
-        .collect();
-    let longest = traces.iter().map(Trace::len).max().unwrap_or(0);
-    for i in 0..longest {
-        for (client, trace) in traces.iter().enumerate() {
-            if let Some(ev) = trace.events().get(i) {
-                if filters[client].offer_file(ev.file) {
-                    server.handle_access(ev.file);
-                }
-            }
-        }
-    }
-    filters.iter().fold((0, 0), |(h, a), f| {
-        (h + f.stats().hits, a + f.stats().accesses)
-    })
-}
-
-/// Runs the full sweep: the same `K` client traces replayed against every
-/// shard count in the config.
-///
-/// # Errors
-///
-/// Returns a [`ValidationError`] if the config grid is invalid (see
-/// [`MultiClientConfig`] field docs).
-pub fn multiclient_sweep(
-    config: &MultiClientConfig,
-) -> Result<Vec<MultiClientPoint>, ValidationError> {
-    config.validate()?;
-    let traces = config.client_traces()?;
-    config
-        .shard_counts
-        .iter()
-        .map(|&shards| {
-            let server = config.server(shards)?;
-            run_multiclient_on(&server, &traces, config.filter_capacity, config.concurrent)
-        })
-        .collect()
-}
-
-/// Renders the sweep: one row per shard count.
-pub fn multiclient_table(title: &str, points: &[MultiClientPoint]) -> Table {
-    let mut table = Table::new(
-        title,
-        [
-            "shards",
-            "clients",
-            "client_hit",
-            "server_hit",
-            "fetches",
-            "imbalance",
-            "secs",
-        ],
-    );
-    for p in points {
-        table.push_row([
-            p.shards.to_string(),
-            p.clients.to_string(),
-            pct(p.client_hit_rate),
-            pct(p.server_hit_rate),
-            p.demand_fetches.to_string(),
-            fmt2(p.imbalance),
-            format!("{:.3}", p.elapsed.as_secs_f64()),
-        ]);
-    }
-    table
 }
 
 /// Why a transport-backed replay failed: the inputs were invalid, or the
@@ -423,9 +116,8 @@ pub struct TransportReplayPoint {
     pub elapsed: Duration,
 }
 
-/// Replays `traces` with every filter-cache miss routed through that
-/// client's own [`Transport`] — the transport-backed twin of
-/// [`run_multiclient`]. `transports` supplies one fetch path per client
+/// Replays `traces` (one per client) with every filter-cache miss routed
+/// through that client's own [`Transport`]. `transports` supplies one fetch path per client
 /// (e.g. a `NetClient` each for a TCP run, or a `SimTransport` each over
 /// one shared cache for a virtual-clock run) and is returned so callers
 /// can inspect per-client stats or reuse the connections.
@@ -436,11 +128,11 @@ pub struct TransportReplayPoint {
 /// with [`request_id`], so the streams stay
 /// idempotency-safe against one shared server.
 ///
-/// With `concurrent = false` the interleave is the same deterministic
-/// round-robin as [`run_multiclient`]'s: at `batch == 1` a transport
-/// backed by a [`ShardedAggregatingCache`] therefore produces **byte
-/// -identical** server statistics to the in-process replay — the
-/// differential property the loopback CI test pins. Larger batches and
+/// With `concurrent = false` clients take turns, one event per turn, so
+/// at `batch == 1` every transport backed by the same
+/// [`ShardedAggregatingCache`] configuration — in process, simulated or
+/// over TCP — produces **byte-identical** server statistics: the
+/// differential property the loopback tests pin. Larger batches and
 /// concurrent replay reorder server arrivals, changing (only) the
 /// order-dependent statistics.
 ///
@@ -555,8 +247,7 @@ impl<'t, T: Transport> TransportClient<'t, T> {
 }
 
 /// Deterministic round-robin interleave over one shared fetch order —
-/// clients take turns, one event per turn (mirrors
-/// [`replay_round_robin`]).
+/// clients take turns, one event per turn, until every trace is drained.
 fn replay_transport_round_robin<T: Transport>(
     traces: &[Trace],
     filter_capacity: usize,
@@ -585,8 +276,7 @@ fn replay_transport_round_robin<T: Transport>(
     Ok(totals)
 }
 
-/// One scoped thread per client, each driving its own transport (mirrors
-/// [`replay_concurrent`]).
+/// One scoped thread per client, each driving its own transport.
 fn replay_transport_concurrent<T: Transport + Send>(
     traces: &[Trace],
     filter_capacity: usize,
@@ -656,15 +346,16 @@ impl<E> From<ValidationError> for StreamReplayError<E> {
     }
 }
 
-/// Single-pass streaming twin of
-/// [`split_round_robin`] + [`run_multiclient_on`] (round-robin mode):
-/// event `i` of the stream is attributed to client `i % clients`, whose
-/// private filter decides whether it reaches the shared server.
+/// Single-pass streaming twin of [`split_round_robin`] +
+/// [`run_multiclient_transport`] (round-robin, `batch == 1`, one
+/// `DirectTransport` per client): event `i` of the stream is attributed
+/// to client `i % clients`, whose private filter decides whether it
+/// reaches the shared server.
 ///
 /// The round-robin interleave replays split traces in exactly original
 /// stream order (turn `t` plays events `t·k .. t·k + k` in client order),
-/// so this produces **identical** [`MultiClientPoint`] counters without
-/// ever materializing the trace — the replay path for event streams too
+/// so this leaves the server in the **identical** state without ever
+/// materializing the trace — the replay path for event streams too
 /// large to hold in memory. Memory is bounded by the `clients` filter
 /// caches; the stream is consumed once.
 ///
@@ -746,53 +437,53 @@ pub fn split_round_robin(trace: &Trace, k: usize) -> Vec<Trace> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fgcache_core::{CostModel, ShardedAggregatingCacheBuilder};
+    use fgcache_net::{DirectTransport, SimTransport};
+    use fgcache_trace::synth::{SynthConfig, WorkloadProfile};
 
-    #[test]
-    fn validation() {
-        let mut cfg = MultiClientConfig::quick();
-        cfg.clients = 0;
-        assert!(multiclient_sweep(&cfg).is_err());
-        let mut cfg = MultiClientConfig::quick();
-        cfg.shard_counts.clear();
-        assert!(multiclient_sweep(&cfg).is_err());
-        let mut cfg = MultiClientConfig::quick();
-        cfg.filter_capacity = 0;
-        assert!(multiclient_sweep(&cfg).is_err());
-        // 120-capacity server over 64 shards has slices smaller than g,
-        // which builds (shards clamp their group size); more shards than
-        // capacity does not.
-        let mut cfg = MultiClientConfig::quick();
-        cfg.shard_counts = vec![64];
-        assert!(multiclient_sweep(&cfg).is_ok());
-        let mut cfg = MultiClientConfig::quick();
-        cfg.shard_counts = vec![128];
-        assert!(multiclient_sweep(&cfg).is_err());
-        assert!(run_multiclient(&[], 1, 10, 100, 3, 4, false).is_err());
+    const CLIENTS: usize = 2;
+    const FILTER: usize = 50;
+
+    /// `CLIENTS` independent server-profile traces (client `i` seeded
+    /// with `7 + i`).
+    fn client_traces() -> Vec<Trace> {
+        (0..CLIENTS)
+            .map(|i| {
+                SynthConfig::profile(WorkloadProfile::Server)
+                    .events(2_000)
+                    .seed(7 + i as u64)
+                    .build()
+                    .unwrap()
+                    .generate()
+            })
+            .collect()
     }
 
-    #[test]
-    fn sweep_reports_every_shard_count() {
-        let cfg = MultiClientConfig::quick();
-        let points = multiclient_sweep(&cfg).unwrap();
-        assert_eq!(points.len(), cfg.shard_counts.len());
-        for (p, &shards) in points.iter().zip(&cfg.shard_counts) {
-            assert_eq!(p.shards, shards);
-            assert_eq!(p.clients, cfg.clients);
-            assert_eq!(p.events, (cfg.clients * cfg.events_per_client) as u64);
-            // Every client miss reaches the server, nothing else does —
-            // checked against the exact miss counter, not a float
-            // reconstruction from the hit rate (see
-            // `hit_rate_round_trip_is_lossy_at_scale`).
-            assert_eq!(p.server_accesses, p.client_misses);
-            assert_eq!(p.client_hits + p.client_misses, p.events);
-            assert!(p.demand_fetches <= p.server_accesses);
-            assert!(p.imbalance >= 1.0);
-        }
-        // The client tier never sees the shard count: its hit rate is
-        // identical at every point.
-        assert!(points
-            .windows(2)
-            .all(|w| (w[0].client_hit_rate - w[1].client_hit_rate).abs() < 1e-12));
+    fn server(shards: usize) -> ShardedAggregatingCache {
+        ShardedAggregatingCacheBuilder::new(120)
+            .shards(shards)
+            .group_size(3)
+            .successor_capacity(4)
+            .build()
+            .unwrap()
+    }
+
+    /// The round-robin, batch-1 replay over in-process calls: the oracle
+    /// every other replay mode is compared with.
+    fn direct_replay(server: &ShardedAggregatingCache, traces: &[Trace]) -> TransportReplayPoint {
+        let transports: Vec<DirectTransport<'_>> = traces
+            .iter()
+            .map(|_| DirectTransport::new(server))
+            .collect();
+        run_multiclient_transport(traces, FILTER, transports, 1, false)
+            .unwrap()
+            .0
+    }
+
+    fn stream_of(
+        trace: &Trace,
+    ) -> impl Iterator<Item = Result<AccessEvent, std::convert::Infallible>> + '_ {
+        trace.events().iter().map(|ev| Ok(*ev))
     }
 
     #[test]
@@ -818,54 +509,25 @@ mod tests {
 
     #[test]
     fn exact_counters_match_the_rate_and_the_server() {
-        let cfg = MultiClientConfig::quick();
-        let traces = cfg.client_traces().unwrap();
-        let p = run_multiclient(&traces, 2, 50, 120, 3, 4, false).unwrap();
+        let traces = client_traces();
+        let direct = server(2);
+        let p = direct_replay(&direct, &traces);
         assert_eq!(p.client_hits + p.client_misses, p.events);
-        assert_eq!(p.server_accesses, p.client_misses);
+        assert_eq!(p.transport.requests, p.client_misses);
+        assert_eq!(direct.stats().accesses, p.client_misses);
         assert!((p.client_hit_rate - p.client_hits as f64 / p.events as f64).abs() < 1e-15);
-    }
 
-    #[test]
-    fn concurrent_and_round_robin_agree_on_client_totals() {
-        let mut cfg = MultiClientConfig::quick();
-        let traces = cfg.client_traces().unwrap();
-        let rr = run_multiclient(&traces, 2, 50, 120, 3, 4, false).unwrap();
-        cfg.concurrent = true;
-        let conc = run_multiclient(&traces, 2, 50, 120, 3, 4, true).unwrap();
-        // Client filters are private: their aggregate behaviour cannot
-        // depend on server interleaving.
-        assert_eq!(rr.events, conc.events);
-        assert!((rr.client_hit_rate - conc.client_hit_rate).abs() < 1e-12);
-        assert_eq!(rr.server_accesses, conc.server_accesses);
-    }
-
-    #[test]
-    fn single_client_single_shard_round_robin_is_deterministic() {
-        let cfg = MultiClientConfig {
-            clients: 1,
-            shard_counts: vec![1],
-            ..MultiClientConfig::quick()
-        };
-        let a = multiclient_sweep(&cfg).unwrap();
-        let b = multiclient_sweep(&cfg).unwrap();
-        assert_eq!(a[0].demand_fetches, b[0].demand_fetches);
-        assert_eq!(a[0].server_hit_rate, b[0].server_hit_rate);
-    }
-
-    #[test]
-    fn table_has_one_row_per_point() {
-        let points = multiclient_sweep(&MultiClientConfig::quick()).unwrap();
-        let table = multiclient_table("multiclient", &points);
-        assert_eq!(table.row_count(), points.len());
-        assert!(table.render().contains("imbalance"));
+        let streamed = server(2);
+        let s = run_multiclient_stream(&streamed, stream_of(&traces[0]), CLIENTS, FILTER).unwrap();
+        assert_eq!(s.client_hits + s.client_misses, s.events);
+        assert_eq!(s.server_accesses, s.client_misses);
+        assert_eq!(streamed.stats().accesses, s.client_misses);
+        assert!((s.client_hit_rate - s.client_hits as f64 / s.events as f64).abs() < 1e-15);
     }
 
     #[test]
     fn transport_replay_validates_inputs() {
-        use fgcache_core::CostModel;
-        use fgcache_net::SimTransport;
-        let traces = MultiClientConfig::quick().client_traces().unwrap();
+        let traces = client_traces();
         let none: Vec<SimTransport<'static>> = Vec::new();
         assert!(matches!(
             run_multiclient_transport(&[], 10, none, 1, false),
@@ -888,39 +550,21 @@ mod tests {
 
     #[test]
     fn transport_round_robin_matches_direct_replay_byte_for_byte() {
-        use fgcache_core::CostModel;
-        use fgcache_net::SimTransport;
-        let cfg = MultiClientConfig::quick();
-        let traces = cfg.client_traces().unwrap();
+        let traces = client_traces();
+        let direct_server = server(2);
+        let direct = direct_replay(&direct_server, &traces);
 
-        // Direct in-process replay.
-        let direct_server = ShardedAggregatingCacheBuilder::new(cfg.server_capacity)
-            .shards(2)
-            .group_size(cfg.group_size)
-            .successor_capacity(cfg.successor_capacity)
-            .build()
-            .unwrap();
-        let (direct_hits, direct_accesses) =
-            replay_round_robin(&direct_server, &traces, cfg.filter_capacity);
-
-        // The same interleave, but every miss crosses a transport.
-        let transport_server = ShardedAggregatingCacheBuilder::new(cfg.server_capacity)
-            .shards(2)
-            .group_size(cfg.group_size)
-            .successor_capacity(cfg.successor_capacity)
-            .build()
-            .unwrap();
+        // The same interleave, but every miss crosses a simulated link.
+        let transport_server = server(2);
         let transports: Vec<SimTransport<'_>> = (0..traces.len())
             .map(|_| SimTransport::to_shared(&transport_server, CostModel::remote()))
             .collect();
         let (point, transports) =
-            run_multiclient_transport(&traces, cfg.filter_capacity, transports, 1, false).unwrap();
+            run_multiclient_transport(&traces, FILTER, transports, 1, false).unwrap();
 
-        assert_eq!(point.events, direct_accesses);
-        assert_eq!(
-            point.client_hit_rate,
-            direct_hits as f64 / direct_accesses as f64
-        );
+        assert_eq!(point.events, direct.events);
+        assert_eq!(point.client_hits, direct.client_hits);
+        assert_eq!(point.client_hit_rate, direct.client_hit_rate);
         // Byte-exact server equivalence: same stats, same group stats.
         assert_eq!(transport_server.stats(), direct_server.stats());
         assert_eq!(transport_server.group_stats(), direct_server.group_stats());
@@ -937,23 +581,14 @@ mod tests {
 
     #[test]
     fn transport_batching_preserves_client_totals_and_saves_latency() {
-        use fgcache_core::CostModel;
-        use fgcache_net::SimTransport;
-        let cfg = MultiClientConfig::quick();
-        let traces = cfg.client_traces().unwrap();
+        let traces = client_traces();
         let run = |batch: usize| {
-            let server = ShardedAggregatingCacheBuilder::new(cfg.server_capacity)
-                .shards(2)
-                .group_size(cfg.group_size)
-                .successor_capacity(cfg.successor_capacity)
-                .build()
-                .unwrap();
+            let server = server(2);
             let transports: Vec<SimTransport<'_>> = (0..traces.len())
                 .map(|_| SimTransport::to_shared(&server, CostModel::remote()))
                 .collect();
             let (point, _) =
-                run_multiclient_transport(&traces, cfg.filter_capacity, transports, batch, false)
-                    .unwrap();
+                run_multiclient_transport(&traces, FILTER, transports, batch, false).unwrap();
             point
         };
         let single = run(1);
@@ -970,83 +605,59 @@ mod tests {
 
     #[test]
     fn transport_concurrent_replay_agrees_on_client_totals() {
-        use fgcache_core::CostModel;
-        use fgcache_net::SimTransport;
-        let cfg = MultiClientConfig::quick();
-        let traces = cfg.client_traces().unwrap();
-        let server = ShardedAggregatingCacheBuilder::new(cfg.server_capacity)
-            .shards(2)
-            .group_size(cfg.group_size)
-            .successor_capacity(cfg.successor_capacity)
-            .build()
-            .unwrap();
+        let traces = client_traces();
+        let server_conc = server(2);
         let transports: Vec<SimTransport<'_>> = (0..traces.len())
-            .map(|_| SimTransport::to_shared(&server, CostModel::remote()))
+            .map(|_| SimTransport::to_shared(&server_conc, CostModel::remote()))
             .collect();
-        let (conc, _) =
-            run_multiclient_transport(&traces, cfg.filter_capacity, transports, 4, true).unwrap();
+        let (conc, _) = run_multiclient_transport(&traces, FILTER, transports, 4, true).unwrap();
 
-        let rr = run_multiclient(
-            &traces,
-            2,
-            cfg.filter_capacity,
-            cfg.server_capacity,
-            cfg.group_size,
-            cfg.successor_capacity,
-            false,
-        )
-        .unwrap();
-        // Client filters are private: totals match the in-process replay
-        // regardless of interleaving or the transport seam.
+        let rr = direct_replay(&server(2), &traces);
+        // Client filters are private: totals match the round-robin replay
+        // regardless of interleaving, batching or the transport seam.
         assert_eq!(conc.events, rr.events);
+        assert_eq!(conc.client_hits, rr.client_hits);
         assert!((conc.client_hit_rate - rr.client_hit_rate).abs() < 1e-12);
-        assert_eq!(conc.transport.requests, rr.server_accesses);
+        assert_eq!(conc.transport.requests, rr.transport.requests);
+        assert_eq!(server_conc.stats().accesses, rr.client_misses);
     }
 
     #[test]
     fn stream_replay_matches_split_round_robin_byte_for_byte() {
-        let cfg = MultiClientConfig::quick();
-        let trace = SynthConfig::profile(cfg.profile)
+        let trace = SynthConfig::profile(WorkloadProfile::Server)
             .events(4_001) // not a multiple of k: exercises the ragged tail
-            .seed(cfg.seed)
+            .seed(7)
             .build()
             .unwrap()
             .generate();
         for k in [1usize, 2, 3] {
-            let split_server = cfg.server(2).unwrap();
-            let split = run_multiclient_on(
-                &split_server,
-                &split_round_robin(&trace, k),
-                cfg.filter_capacity,
-                false,
-            )
-            .unwrap();
+            let split_server = server(2);
+            let split = direct_replay(&split_server, &split_round_robin(&trace, k));
 
-            let stream_server = cfg.server(2).unwrap();
-            let events = trace
-                .events()
-                .iter()
-                .map(|ev| Ok::<AccessEvent, std::convert::Infallible>(*ev));
+            let stream_server = server(2);
             let streamed =
-                run_multiclient_stream(&stream_server, events, k, cfg.filter_capacity).unwrap();
+                run_multiclient_stream(&stream_server, stream_of(&trace), k, FILTER).unwrap();
 
-            assert_eq!(streamed.shards, split.shards, "k={k}");
+            assert_eq!(streamed.shards, 2, "k={k}");
             assert_eq!(streamed.clients, split.clients, "k={k}");
             assert_eq!(streamed.events, split.events, "k={k}");
-            assert_eq!(streamed.client_hit_rate, split.client_hit_rate, "k={k}");
-            assert_eq!(streamed.server_hit_rate, split.server_hit_rate, "k={k}");
-            assert_eq!(streamed.server_accesses, split.server_accesses, "k={k}");
-            assert_eq!(streamed.demand_fetches, split.demand_fetches, "k={k}");
-            assert_eq!(streamed.imbalance, split.imbalance, "k={k}");
-            assert_eq!(stream_server.stats(), split_server.stats());
-            assert_eq!(stream_server.group_stats(), split_server.group_stats());
+            assert_eq!(streamed.client_hits, split.client_hits, "k={k}");
+            assert_eq!(streamed.client_misses, split.client_misses, "k={k}");
+            assert_eq!(streamed.server_accesses, split.transport.requests, "k={k}");
+            assert_eq!(stream_server.stats(), split_server.stats(), "k={k}");
+            assert_eq!(
+                stream_server.group_stats(),
+                split_server.group_stats(),
+                "k={k}"
+            );
+            assert_eq!(streamed.demand_fetches, split_server.demand_fetches());
+            assert_eq!(streamed.imbalance, split_server.shard_imbalance());
         }
     }
 
     #[test]
     fn stream_replay_validates_inputs_and_propagates_source_errors() {
-        let cfg = MultiClientConfig::quick();
-        let server = cfg.server(1).unwrap();
+        let server = server(1);
         let ok = |n: u64| {
             (0..n)
                 .map(|i| Ok::<AccessEvent, std::io::Error>(fgcache_types::AccessEvent::read(i, i)))

@@ -62,8 +62,8 @@ impl Table {
         self.rows.len()
     }
 
-    /// Renders the table as aligned text (what the `repro_*` binaries
-    /// print).
+    /// Renders the table as aligned text (what the `repro` binary
+    /// prints).
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.columns.iter().map(|c| c.len()).collect();
         for row in &self.rows {

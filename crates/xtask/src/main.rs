@@ -5,8 +5,6 @@
 //! cargo run -p xtask -- analyze     # atomics / lock-discipline passes (token-based)
 //! cargo run -p xtask -- fuzz        # differential fuzzers over the pinned seed set
 //! cargo run -p xtask -- fuzz --minutes N   # soak: fresh derived seeds until N minutes pass
-//! cargo run -p xtask -- bench-smoke [--threads N] # smoke benches → BENCH_*.json
-//! cargo run -p xtask -- ci [--miri] # fmt, clippy, lint, analyze, build, test, model suites, …
 //! ```
 //!
 //! `lint` enforces the hermetic-build policy without compiling anything:
@@ -40,22 +38,6 @@
 //! deterministic seed set (exported as `FGCACHE_FUZZ_SEEDS`), so CI
 //! exercises more seeds than the in-repo defaults without ever becoming
 //! flaky.
-//!
-//! `bench-smoke` runs the smoke benchmarks for fixed small event counts
-//! and writes `BENCH_hot_path.json`, `BENCH_cost.json`,
-//! `BENCH_cluster.json`, `BENCH_server.json` and `BENCH_plan.json` at
-//! the workspace root.
-//! The server bench is also the high-connection smoke: it holds 256+
-//! idle connections on the event-driven server, replays an active
-//! workload, and exits nonzero unless the served stats are
-//! byte-identical to the in-process oracle and RSS growth stays
-//! bounded. `--threads N` is forwarded to the hot-path bench's
-//! multi-threaded sharding scenarios (the multi-core scaling
-//! measurement; defaults to the host's available parallelism). It is a
-//! run-only gate otherwise: the numbers are recorded so the perf
-//! trajectory accumulates, but no wall-clock thresholds are enforced —
-//! the CI host is a single core, where wall-clock cannot show
-//! contention wins (locks/event can).
 //!
 //! `analyze` is the concurrency-discipline gate, companion to the
 //! deterministic interleaving explorer in `fgcache_types::sync::model`
@@ -124,19 +106,8 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         },
-        Some("bench-smoke") => match parse_threads(&args[1..]) {
-            Ok(threads) => bench_smoke(&root, threads),
-            Err(e) => {
-                eprintln!("xtask bench-smoke: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Some("ci") => ci(&root, args[1..].iter().any(|a| a == "--miri")),
         _ => {
-            eprintln!(
-                "usage: cargo run -p xtask -- \
-                 <lint|analyze|fuzz [--minutes N]|bench-smoke [--threads N]|ci [--miri]>"
-            );
+            eprintln!("usage: cargo run -p xtask -- <lint|analyze|fuzz [--minutes N]>");
             ExitCode::FAILURE
         }
     }
@@ -152,26 +123,6 @@ fn parse_minutes(args: &[String]) -> Result<Option<u64>, String> {
             .parse::<u64>()
             .map(Some)
             .map_err(|_| "--minutes value must be a whole number of minutes".to_string()),
-    }
-}
-
-/// Parses `--threads N` out of a `bench-smoke` argument list (`None`
-/// leaves the hot-path bench at its default: the host's available
-/// parallelism).
-fn parse_threads(args: &[String]) -> Result<Option<u64>, String> {
-    match args.iter().position(|a| a == "--threads") {
-        None => Ok(None),
-        Some(i) => {
-            let n = args
-                .get(i + 1)
-                .ok_or_else(|| "--threads needs a value".to_string())?
-                .parse::<u64>()
-                .map_err(|_| "--threads value must be a whole number of threads".to_string())?;
-            if n == 0 {
-                return Err("--threads must be at least 1".to_string());
-            }
-            Ok(Some(n))
-        }
     }
 }
 
@@ -287,266 +238,6 @@ fn fuzz_with_seeds(root: &Path, seeds: &str) -> ExitCode {
     }
     println!("xtask fuzz: all suites passed");
     ExitCode::SUCCESS
-}
-
-/// Runs the smoke benchmarks (small fixed event counts) and writes the
-/// `BENCH_*.json` artifacts at the workspace root. The `event_server`
-/// bench doubles as the high-connection smoke: it panics (nonzero exit)
-/// if 256+ concurrent connections stop being byte-identical with the
-/// in-process oracle or RSS growth exceeds its bound — that part IS
-/// enforced. Wall-clock numbers are run-only: thresholds would be noise
-/// on a shared single-core host. `threads` forwards `--threads N` to
-/// the hot-path bench's multi-core scaling scenarios.
-fn bench_smoke(root: &Path, threads: Option<u64>) -> ExitCode {
-    // The bench binaries' working directory is the package root, so the
-    // JSON paths are made absolute to land at the workspace root.
-    for (bench, json_name) in [
-        ("hot_path", "BENCH_hot_path.json"),
-        ("cost_aware", "BENCH_cost.json"),
-        ("cluster", "BENCH_cluster.json"),
-        ("event_server", "BENCH_server.json"),
-        ("plan", "BENCH_plan.json"),
-    ] {
-        println!("==> bench-smoke: {bench} (--smoke) -> {json_name}");
-        let json = root.join(json_name);
-        let mut cmd = Command::new("cargo");
-        cmd.args([
-            "bench",
-            "-p",
-            "fgcache-bench",
-            "--bench",
-            bench,
-            "--",
-            "--smoke",
-            "--json",
-        ])
-        .arg(&json);
-        if bench == "hot_path" {
-            if let Some(n) = threads {
-                cmd.args(["--threads", &n.to_string()]);
-            }
-        }
-        let ok = cmd
-            .current_dir(root)
-            .status()
-            .map(|s| s.success())
-            .unwrap_or(false);
-        if !ok {
-            eprintln!("xtask bench-smoke: {bench} bench failed");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-/// Runs the full local gate in order, stopping at the first failure.
-/// With `miri` true, adds the interpreter job (visibly skipped when the
-/// nightly Miri toolchain is not installed).
-fn ci(root: &Path, miri: bool) -> ExitCode {
-    let steps: [(&str, &[&str]); 6] = [
-        ("cargo fmt --check", &["fmt", "--check"]),
-        (
-            "cargo clippy --workspace --all-targets -- -D warnings",
-            &[
-                "clippy",
-                "--workspace",
-                "--all-targets",
-                "--",
-                "-D",
-                "warnings",
-            ],
-        ),
-        (
-            "cargo build --release --workspace",
-            &["build", "--release", "--workspace"],
-        ),
-        ("cargo test -q --workspace", &["test", "-q", "--workspace"]),
-        (
-            "cargo test -q -p fgcache-types --features fgcache_model (interleaving explorer)",
-            &[
-                "test",
-                "-q",
-                "-p",
-                "fgcache-types",
-                "--features",
-                "fgcache_model",
-            ],
-        ),
-        (
-            "cargo test -q -p fgcache-net --features fgcache_model --lib (wake protocol)",
-            &[
-                "test",
-                "-q",
-                "-p",
-                "fgcache-net",
-                "--features",
-                "fgcache_model",
-                "--lib",
-            ],
-        ),
-    ];
-    // lint + analyze run between clippy and build, in-process.
-    for (i, (label, cargo_args)) in steps.iter().enumerate() {
-        if i == 2 && (lint(root) != ExitCode::SUCCESS || analyze(root) != ExitCode::SUCCESS) {
-            return ExitCode::FAILURE;
-        }
-        println!("==> {label}");
-        let ok = Command::new("cargo")
-            .args(*cargo_args)
-            .current_dir(root)
-            .status()
-            .map(|s| s.success())
-            .unwrap_or(false);
-        if !ok {
-            eprintln!("xtask ci: step failed: {label}");
-            return ExitCode::FAILURE;
-        }
-    }
-    // The loopback smoke rides on the release build from step 3: the
-    // bench-net differential check exits nonzero unless the TCP server's
-    // stats are byte-identical to the in-process replay.
-    println!("==> loopback smoke: fgcache bench-net");
-    let ok = Command::new(root.join("target/release/fgcache"))
-        .args([
-            "bench-net",
-            "--loopback",
-            "true",
-            "--clients",
-            "2",
-            "--events",
-            "2000",
-            "--capacity",
-            "200",
-            "--shards",
-            "2",
-            "--batch",
-            "1,8",
-            "--seed",
-            "2002",
-        ])
-        .current_dir(root)
-        .status()
-        .map(|s| s.success())
-        .unwrap_or(false);
-    if !ok {
-        eprintln!("xtask ci: step failed: loopback smoke");
-        return ExitCode::FAILURE;
-    }
-    // The planner validation gate replays seeded Zipf traces through
-    // the streamed LRU simulator across the (α, capacity) grid and
-    // exits nonzero if the Che prediction drifts past the pinned 2pp
-    // tolerance. CI-sized events: big enough that simulator noise sits
-    // well under the tolerance, small enough to stay quick in release.
-    println!("==> planner validation: fgcache plan --validate");
-    let ok = Command::new(root.join("target/release/fgcache"))
-        .args([
-            "plan",
-            "--validate",
-            "true",
-            "--events",
-            "10000000",
-            "--seed",
-            "2002",
-        ])
-        .current_dir(root)
-        .status()
-        .map(|s| s.success())
-        .unwrap_or(false);
-    if !ok {
-        eprintln!("xtask ci: step failed: planner validation");
-        return ExitCode::FAILURE;
-    }
-    // The cluster smoke spawns three real `fgcache serve` processes,
-    // pushes membership epochs (full view, a leave, a rejoin) mid-replay
-    // over TCP, and exits nonzero unless every node's stats are
-    // byte-identical to the single-process routing oracle.
-    println!("==> cluster smoke: fgcache bench-cluster");
-    let ok = Command::new(root.join("target/release/fgcache"))
-        .args([
-            "bench-cluster",
-            "--nodes",
-            "3",
-            "--events",
-            "6000",
-            "--seed",
-            "2002",
-        ])
-        .current_dir(root)
-        .status()
-        .map(|s| s.success())
-        .unwrap_or(false);
-    if !ok {
-        eprintln!("xtask ci: step failed: cluster smoke");
-        return ExitCode::FAILURE;
-    }
-    // Smoke benches: record the BENCH_*.json artifacts. The
-    // event_server bench inside is also the 256-connection smoke —
-    // byte-identity with the oracle and the RSS bound are enforced
-    // (panic → nonzero exit); wall-clock numbers are record-only.
-    if bench_smoke(root, None) != ExitCode::SUCCESS {
-        return ExitCode::FAILURE;
-    }
-    // The benchmark package is outside the workspace; its own gate is
-    // what catches API drift in the crates it path-depends on.
-    println!("==> benchmark/check.sh");
-    let ok = Command::new(root.join("benchmark/check.sh"))
-        .current_dir(root)
-        .status()
-        .map(|s| s.success())
-        .unwrap_or(false);
-    if !ok {
-        eprintln!("xtask ci: step failed: benchmark/check.sh");
-        return ExitCode::FAILURE;
-    }
-    // The extended-seed fuzz pass rides on the build the test step made.
-    if fuzz(root) != ExitCode::SUCCESS {
-        return ExitCode::FAILURE;
-    }
-    if miri && miri_job(root) != ExitCode::SUCCESS {
-        return ExitCode::FAILURE;
-    }
-    println!("xtask ci: all steps passed");
-    ExitCode::SUCCESS
-}
-
-/// The optional Miri job: runs the fgcache-types unit tests under the
-/// nightly Miri interpreter when it is installed; otherwise prints a
-/// visible skip notice and succeeds, so `--miri` is safe to pass on
-/// hosts without the nightly toolchain.
-fn miri_job(root: &Path) -> ExitCode {
-    let probe = Command::new("cargo")
-        .args(["+nightly", "miri", "--version"])
-        .current_dir(root)
-        .output();
-    let available = probe.map(|o| o.status.success()).unwrap_or(false);
-    if !available {
-        println!(
-            "==> miri: SKIPPED — nightly Miri is not installed on this host \
-             (install with `rustup toolchain install nightly --component miri`)"
-        );
-        return ExitCode::SUCCESS;
-    }
-    println!("==> miri: cargo +nightly miri test -q -p fgcache-types --lib");
-    let ok = Command::new("cargo")
-        .args([
-            "+nightly",
-            "miri",
-            "test",
-            "-q",
-            "-p",
-            "fgcache-types",
-            "--lib",
-        ])
-        .current_dir(root)
-        .status()
-        .map(|s| s.success())
-        .unwrap_or(false);
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("xtask ci: step failed: miri");
-        ExitCode::FAILURE
-    }
 }
 
 /// SplitMix64 — the same mixer the workspace uses, reimplemented here
@@ -1765,16 +1456,6 @@ fn f(file: FileId, id: u64) -> Option<u32> {\n\
         assert_eq!(parse_minutes(&args(&["--minutes", "3"])), Ok(Some(3)));
         assert!(parse_minutes(&args(&["--minutes"])).is_err());
         assert!(parse_minutes(&args(&["--minutes", "soon"])).is_err());
-    }
-
-    #[test]
-    fn parse_threads_accepts_and_rejects() {
-        let args = |s: &[&str]| s.iter().map(|a| a.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_threads(&args(&[])), Ok(None));
-        assert_eq!(parse_threads(&args(&["--threads", "4"])), Ok(Some(4)));
-        assert!(parse_threads(&args(&["--threads"])).is_err());
-        assert!(parse_threads(&args(&["--threads", "0"])).is_err());
-        assert!(parse_threads(&args(&["--threads", "many"])).is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Integration tests asserting the *shape* of every reproduced figure at
 //! reduced scale — the acceptance criteria from DESIGN.md §5.
 //!
-//! These run the same drivers as the `repro_*` binaries, on smaller
+//! These run the same drivers as the `repro` binary, on smaller
 //! traces, and check the qualitative claims of the paper: who wins, by
 //! roughly what factor, and where the crossovers fall.
 
