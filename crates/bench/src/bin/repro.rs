@@ -38,8 +38,8 @@
 //!    fetching under remote and LAN regimes (the §1 motivation and the
 //!    §6 note that practical group sizes depend on the medium).
 //! 8. **Cost/size-aware caching** — the paper's fixed-cost model vs
-//!    Landlord (Young) and unit-accounted group fetching with and
-//!    without whole-group (bundle) eviction, under seeded Pareto sizes.
+//!    Landlord (Young) and unit-accounted group fetching (g = 1 and
+//!    g = 5), under seeded Pareto sizes.
 
 use std::error::Error;
 use std::process::ExitCode;
@@ -555,17 +555,14 @@ fn ablate_cost_aware(trace: &Trace) -> Result<Table, Box<dyn Error>> {
     }
     row("landlord 2048 units", fetches, fetches, moved);
     // Unit-accounted group fetching: g = 1 isolates the size accounting
-    // (an LRU over units), g = 5 adds grouping, and the bundle variant
-    // additionally evicts previously fetched groups as a unit.
-    for (label, g, bundle) in [
-        ("sized lru (agg g=1) 2048 units", 1usize, false),
-        ("agg g=5 sized 2048 units", 5, false),
-        ("agg g=5 sized + bundle eviction", 5, true),
+    // (an LRU over units), g = 5 adds grouping.
+    for (label, g) in [
+        ("sized lru (agg g=1) 2048 units", 1usize),
+        ("agg g=5 sized 2048 units", 5),
     ] {
         let mut cache = AggregatingCacheBuilder::new(units)
             .group_size(g)
             .sizes(assigner)
-            .bundle_eviction(bundle)
             .build()?;
         for ev in trace.events() {
             cache.handle_access(ev.file);

@@ -1,5 +1,5 @@
-//! Internal slab-backed LRU list shared by the multi-list policies
-//! (2Q, MQ, ARC). Front = most recent, back = eviction end.
+//! Internal slab-backed LRU list behind 2Q's three queues. Front = most
+//! recent, back = eviction end.
 
 use fgcache_types::hash::FastMap;
 
@@ -46,12 +46,6 @@ impl LruList {
 
     pub(crate) fn contains(&self, file: FileId) -> bool {
         self.map.contains_key(&file)
-    }
-
-    /// Front (most-recent) element.
-    #[allow(dead_code)]
-    pub(crate) fn front(&self) -> Option<FileId> {
-        (self.head != NIL).then(|| self.nodes[self.head].file)
     }
 
     /// Back (eviction-end) element.
@@ -178,7 +172,7 @@ impl LruList {
     /// a single consistent walk over exactly the mapped nodes, and the
     /// free list must account for every unmapped slab slot.
     ///
-    /// `where_` names the owning structure and list (e.g. `"ArcCache.t1"`)
+    /// `where_` names the owning structure and list (e.g. `"TwoQCache.am"`)
     /// in the violation report.
     pub(crate) fn audit(&self, where_: &str) -> Result<(), InvariantViolation> {
         let err = |detail: String| Err(InvariantViolation::new(where_, detail));
@@ -244,7 +238,7 @@ impl LruList {
     }
 
     /// Iterates front (most recent) to back.
-    #[allow(dead_code)]
+    #[cfg(test)]
     pub(crate) fn iter(&self) -> impl Iterator<Item = FileId> + '_ {
         let mut cursor = self.head;
         std::iter::from_fn(move || {
@@ -306,7 +300,7 @@ mod tests {
             l.push_back(FileId(i));
         }
         assert!(l.touch(FileId(3)));
-        assert_eq!(l.front(), Some(FileId(3)));
+        assert_eq!(l.iter().next(), Some(FileId(3)));
         assert_eq!(l.back(), Some(FileId(2)));
         assert!(!l.touch(FileId(99)));
     }
@@ -329,7 +323,7 @@ mod tests {
         l.push_front(FileId(1));
         l.clear();
         assert!(l.is_empty());
-        assert_eq!(l.front(), None);
+        assert_eq!(l.iter().next(), None);
         assert_eq!(l.back(), None);
     }
 }

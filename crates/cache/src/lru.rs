@@ -171,10 +171,6 @@ impl LruCache {
     /// Evicts `file` regardless of its recency position, recording the
     /// eviction exactly as a tail eviction would. Returns whether the
     /// file was resident.
-    ///
-    /// Supports whole-group (bundle) eviction, where reclaiming the LRU
-    /// victim also reclaims its still-resident co-fetched group members,
-    /// wherever they sit in the recency order.
     pub fn evict_file(&mut self, file: FileId) -> bool {
         match self.map.remove(&file) {
             Some(idx) => {

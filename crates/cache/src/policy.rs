@@ -4,9 +4,7 @@ use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
 
-use crate::{
-    ArcCache, Cache, ClockCache, FifoCache, LandlordCache, LfuCache, LruCache, MqCache, TwoQCache,
-};
+use crate::{Cache, LandlordCache, LfuCache, LruCache, TwoQCache};
 
 /// The replacement policies available to sweeps and examples.
 ///
@@ -24,16 +22,8 @@ pub enum PolicyKind {
     Lru,
     /// Least frequently used (LRU tie-break).
     Lfu,
-    /// First-in first-out.
-    Fifo,
-    /// CLOCK / second chance.
-    Clock,
-    /// 2Q (Johnson & Shasha).
+    /// 2Q (Johnson & Shasha): the scan-resistant strong baseline.
     TwoQ,
-    /// Multi-Queue (Zhou, Philbin & Li).
-    Mq,
-    /// Adaptive Replacement Cache (Megiddo & Modha).
-    Arc,
     /// Landlord (Young) — size/cost-aware; uniform sizes degenerate to
     /// LRU. Built here with the uniform assigner; use
     /// [`LandlordCache::with_assigner`] for sized populations.
@@ -42,14 +32,10 @@ pub enum PolicyKind {
 
 impl PolicyKind {
     /// All policies, in a stable presentation order.
-    pub const ALL: [PolicyKind; 8] = [
+    pub const ALL: [PolicyKind; 4] = [
         PolicyKind::Lru,
         PolicyKind::Lfu,
-        PolicyKind::Fifo,
-        PolicyKind::Clock,
         PolicyKind::TwoQ,
-        PolicyKind::Mq,
-        PolicyKind::Arc,
         PolicyKind::Landlord,
     ];
 
@@ -62,11 +48,7 @@ impl PolicyKind {
         match self {
             PolicyKind::Lru => Box::new(LruCache::new(capacity)),
             PolicyKind::Lfu => Box::new(LfuCache::new(capacity)),
-            PolicyKind::Fifo => Box::new(FifoCache::new(capacity)),
-            PolicyKind::Clock => Box::new(ClockCache::new(capacity)),
             PolicyKind::TwoQ => Box::new(TwoQCache::new(capacity)),
-            PolicyKind::Mq => Box::new(MqCache::new(capacity)),
-            PolicyKind::Arc => Box::new(ArcCache::new(capacity)),
             PolicyKind::Landlord => Box::new(LandlordCache::new(capacity)),
         }
     }
@@ -77,11 +59,7 @@ impl PolicyKind {
         match self {
             PolicyKind::Lru => "lru",
             PolicyKind::Lfu => "lfu",
-            PolicyKind::Fifo => "fifo",
-            PolicyKind::Clock => "clock",
             PolicyKind::TwoQ => "2q",
-            PolicyKind::Mq => "mq",
-            PolicyKind::Arc => "arc",
             PolicyKind::Landlord => "landlord",
         }
     }
@@ -102,11 +80,14 @@ pub struct ParsePolicyError {
 
 impl fmt::Display for ParsePolicyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unrecognised policy {:?}, expected one of lru, lfu, fifo, clock, 2q, mq, arc, landlord",
-            self.found
-        )
+        write!(f, "unrecognised policy {:?}, expected one of ", self.found)?;
+        for (i, kind) in PolicyKind::ALL.iter().enumerate() {
+            if i > 0 {
+                f.write_str(", ")?;
+            }
+            f.write_str(kind.name())?;
+        }
+        Ok(())
     }
 }
 
@@ -119,11 +100,7 @@ impl FromStr for PolicyKind {
         match s.to_ascii_lowercase().as_str() {
             "lru" => Ok(PolicyKind::Lru),
             "lfu" => Ok(PolicyKind::Lfu),
-            "fifo" => Ok(PolicyKind::Fifo),
-            "clock" => Ok(PolicyKind::Clock),
             "2q" | "twoq" => Ok(PolicyKind::TwoQ),
-            "mq" => Ok(PolicyKind::Mq),
-            "arc" => Ok(PolicyKind::Arc),
             "landlord" => Ok(PolicyKind::Landlord),
             other => Err(ParsePolicyError {
                 found: other.to_string(),
@@ -169,6 +146,17 @@ mod tests {
     fn parse_rejects_unknown() {
         let err = "belady".parse::<PolicyKind>().unwrap_err();
         assert!(err.to_string().contains("belady"));
+    }
+
+    #[test]
+    fn parse_error_lists_exactly_the_policies() {
+        let msg = "belady".parse::<PolicyKind>().unwrap_err().to_string();
+        let (_, listed) = msg
+            .split_once("expected one of ")
+            .expect("the message lists the valid names");
+        let listed: Vec<&str> = listed.split(", ").collect();
+        let all: Vec<&str> = PolicyKind::ALL.iter().map(|k| k.name()).collect();
+        assert_eq!(listed, all);
     }
 
     #[test]

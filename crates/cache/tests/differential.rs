@@ -1,4 +1,4 @@
-//! Deterministic differential fuzzer for the seven replacement policies.
+//! Deterministic differential fuzzer for the four replacement policies.
 //!
 //! Each policy is cross-validated against a trivially-correct reference
 //! model: plain `Vec`s, linear searches, no slabs, no hash maps, no
@@ -70,46 +70,6 @@ impl Model for ModelLru {
     }
 }
 
-// --------------------------------------------------------------- FIFO ----
-
-/// Victim at index 0; hits never reorder.
-struct ModelFifo {
-    capacity: usize,
-    queue: Vec<FileId>,
-}
-
-impl Model for ModelFifo {
-    fn access(&mut self, f: FileId) -> bool {
-        if self.queue.contains(&f) {
-            true
-        } else {
-            if self.queue.len() == self.capacity {
-                self.queue.remove(0);
-            }
-            self.queue.push(f);
-            false
-        }
-    }
-
-    fn insert_speculative(&mut self, f: FileId) {
-        if self.queue.contains(&f) {
-            return;
-        }
-        if self.queue.len() == self.capacity {
-            self.queue.remove(0);
-        }
-        self.queue.insert(0, f);
-    }
-
-    fn contains(&self, f: FileId) -> bool {
-        self.queue.contains(&f)
-    }
-
-    fn len(&self) -> usize {
-        self.queue.len()
-    }
-}
-
 // ---------------------------------------------------------------- LFU ----
 
 /// Linear-scan LFU with LRU (stamp) tie-break; speculative entries carry
@@ -167,62 +127,6 @@ impl Model for ModelLfu {
 
     fn len(&self) -> usize {
         self.entries.len()
-    }
-}
-
-// -------------------------------------------------------------- CLOCK ----
-
-/// Circular slot vector with a sweeping hand; new entries start with a
-/// cleared reference bit.
-struct ModelClock {
-    capacity: usize,
-    slots: Vec<(FileId, bool)>,
-    hand: usize,
-}
-
-impl ModelClock {
-    fn place(&mut self, f: FileId) {
-        if self.slots.len() < self.capacity {
-            self.slots.push((f, false));
-            return;
-        }
-        loop {
-            if self.slots[self.hand].1 {
-                self.slots[self.hand].1 = false;
-                self.hand = (self.hand + 1) % self.slots.len();
-            } else {
-                self.slots[self.hand] = (f, false);
-                self.hand = (self.hand + 1) % self.slots.len();
-                return;
-            }
-        }
-    }
-}
-
-impl Model for ModelClock {
-    fn access(&mut self, f: FileId) -> bool {
-        if let Some(slot) = self.slots.iter_mut().find(|s| s.0 == f) {
-            slot.1 = true;
-            true
-        } else {
-            self.place(f);
-            false
-        }
-    }
-
-    fn insert_speculative(&mut self, f: FileId) {
-        if self.slots.iter().any(|s| s.0 == f) {
-            return;
-        }
-        self.place(f);
-    }
-
-    fn contains(&self, f: FileId) -> bool {
-        self.slots.iter().any(|s| s.0 == f)
-    }
-
-    fn len(&self) -> usize {
-        self.slots.len()
     }
 }
 
@@ -305,143 +209,6 @@ impl Model for ModelTwoQ {
 
     fn len(&self) -> usize {
         self.a1in.len() + self.am.len()
-    }
-}
-
-// ----------------------------------------------------------------- MQ ----
-
-/// Eight plain-`Vec` LRU queues plus a ghost vector, mirroring Zhou,
-/// Philbin & Li's algorithm with lifeTime = max(capacity, 8).
-struct ModelMq {
-    capacity: usize,
-    life_time: u64,
-    queues: Vec<Vec<FileId>>,             // front = most recent
-    meta: Vec<(FileId, u64, usize, u64)>, // (file, freq, queue, expire)
-    ghost: Vec<FileId>,                   // front = most recent
-    ghost_freq: Vec<(FileId, u64)>,
-    now: u64,
-}
-
-impl ModelMq {
-    fn new(capacity: usize) -> Self {
-        ModelMq {
-            capacity,
-            life_time: (capacity as u64).max(8),
-            queues: (0..8).map(|_| Vec::new()).collect(),
-            meta: Vec::new(),
-            ghost: Vec::new(),
-            ghost_freq: Vec::new(),
-            now: 0,
-        }
-    }
-
-    fn queue_for(freq: u64) -> usize {
-        if freq == 0 {
-            0
-        } else {
-            (63 - freq.leading_zeros() as usize).min(7)
-        }
-    }
-
-    fn adjust(&mut self) {
-        for q in (1..8).rev() {
-            let Some(&tail) = self.queues[q].last() else {
-                continue;
-            };
-            let now = self.now;
-            let life = self.life_time;
-            let meta = self
-                .meta
-                .iter_mut()
-                .find(|m| m.0 == tail)
-                .expect("queued file has meta");
-            if meta.3 < now {
-                self.queues[q].pop();
-                meta.2 = q - 1;
-                meta.3 = now + life;
-                self.queues[q - 1].insert(0, tail);
-                return;
-            }
-        }
-    }
-
-    fn evict_one(&mut self) {
-        for q in 0..8 {
-            if let Some(victim) = self.queues[q].pop() {
-                let i = self
-                    .meta
-                    .iter()
-                    .position(|m| m.0 == victim)
-                    .expect("victim has meta");
-                let freq = self.meta.remove(i).1;
-                self.ghost.insert(0, victim);
-                self.ghost_freq.push((victim, freq));
-                if self.ghost.len() > self.capacity {
-                    if let Some(expired) = self.ghost.pop() {
-                        self.ghost_freq.retain(|g| g.0 != expired);
-                    }
-                }
-                return;
-            }
-        }
-    }
-
-    fn insert_with_freq(&mut self, f: FileId, freq: u64) {
-        if self.meta.len() >= self.capacity {
-            self.evict_one();
-        }
-        let queue = Self::queue_for(freq);
-        self.queues[queue].insert(0, f);
-        self.meta.push((f, freq, queue, self.now + self.life_time));
-    }
-}
-
-impl Model for ModelMq {
-    fn access(&mut self, f: FileId) -> bool {
-        self.now += 1;
-        let hit = if let Some(i) = self.meta.iter().position(|m| m.0 == f) {
-            let (_, freq, queue, _) = self.meta.remove(i);
-            self.queues[queue].retain(|&x| x != f);
-            let freq = freq + 1;
-            let queue = Self::queue_for(freq);
-            self.queues[queue].insert(0, f);
-            self.meta.push((f, freq, queue, self.now + self.life_time));
-            true
-        } else {
-            let remembered = if let Some(i) = self.ghost.iter().position(|&x| x == f) {
-                self.ghost.remove(i);
-                let gi = self.ghost_freq.iter().position(|g| g.0 == f);
-                gi.map(|i| self.ghost_freq.remove(i).1).unwrap_or(0)
-            } else {
-                0
-            };
-            self.insert_with_freq(f, remembered + 1);
-            false
-        };
-        self.adjust();
-        hit
-    }
-
-    fn insert_speculative(&mut self, f: FileId) {
-        if self.meta.iter().any(|m| m.0 == f) {
-            return;
-        }
-        if let Some(i) = self.ghost.iter().position(|&x| x == f) {
-            self.ghost.remove(i);
-            self.ghost_freq.retain(|g| g.0 != f);
-        }
-        self.insert_with_freq(f, 0);
-        // Speculative entries sit at the eviction end of queue 0.
-        self.queues[0].retain(|&x| x != f);
-        self.queues[0].push(f);
-    }
-
-    fn contains(&self, f: FileId) -> bool {
-        self.meta.iter().any(|m| m.0 == f)
-    }
-
-    fn len(&self) -> usize {
-        self.meta.len()
     }
 }
 
@@ -538,124 +305,6 @@ impl Model for ModelLandlord {
     }
 }
 
-// ---------------------------------------------------------------- ARC ----
-
-/// Four plain-`Vec` lists (front = most recent) following Megiddo &
-/// Modha's ARC with the workspace's speculative-insert extension.
-struct ModelArc {
-    capacity: usize,
-    p: usize,
-    t1: Vec<FileId>,
-    t2: Vec<FileId>,
-    b1: Vec<FileId>,
-    b2: Vec<FileId>,
-}
-
-fn vec_remove(v: &mut Vec<FileId>, f: FileId) -> bool {
-    match v.iter().position(|&x| x == f) {
-        Some(i) => {
-            v.remove(i);
-            true
-        }
-        None => false,
-    }
-}
-
-impl ModelArc {
-    fn new(capacity: usize) -> Self {
-        ModelArc {
-            capacity,
-            p: 0,
-            t1: Vec::new(),
-            t2: Vec::new(),
-            b1: Vec::new(),
-            b2: Vec::new(),
-        }
-    }
-
-    fn replace(&mut self, about_to_enter_from_b2: bool) {
-        let t1_len = self.t1.len();
-        if t1_len >= 1 && (t1_len > self.p || (about_to_enter_from_b2 && t1_len == self.p)) {
-            if let Some(victim) = self.t1.pop() {
-                self.b1.insert(0, victim);
-            }
-        } else if let Some(victim) = self.t2.pop() {
-            self.b2.insert(0, victim);
-        } else if let Some(victim) = self.t1.pop() {
-            self.b1.insert(0, victim);
-        }
-    }
-
-    fn make_room_for_new(&mut self) {
-        let c = self.capacity;
-        if self.t1.len() + self.b1.len() >= c {
-            if self.t1.len() < c {
-                self.b1.pop();
-                self.replace(false);
-            } else {
-                self.t1.pop();
-            }
-        } else {
-            let total = self.t1.len() + self.t2.len() + self.b1.len() + self.b2.len();
-            if total >= c {
-                if total == 2 * c {
-                    self.b2.pop();
-                }
-                if self.t1.len() + self.t2.len() >= c {
-                    self.replace(false);
-                }
-            }
-        }
-    }
-}
-
-impl Model for ModelArc {
-    fn access(&mut self, f: FileId) -> bool {
-        if vec_remove(&mut self.t1, f) || vec_remove(&mut self.t2, f) {
-            self.t2.insert(0, f);
-            return true;
-        }
-        let c = self.capacity;
-        if self.b1.contains(&f) {
-            let delta = (self.b2.len() / self.b1.len().max(1)).max(1);
-            self.p = (self.p + delta).min(c);
-            self.replace(false);
-            vec_remove(&mut self.b1, f);
-            self.t2.insert(0, f);
-            return false;
-        }
-        if self.b2.contains(&f) {
-            let delta = (self.b1.len() / self.b2.len().max(1)).max(1);
-            self.p = self.p.saturating_sub(delta);
-            self.replace(true);
-            vec_remove(&mut self.b2, f);
-            self.t2.insert(0, f);
-            return false;
-        }
-        self.make_room_for_new();
-        self.t1.insert(0, f);
-        false
-    }
-
-    fn insert_speculative(&mut self, f: FileId) {
-        if self.t1.contains(&f) || self.t2.contains(&f) {
-            return;
-        }
-        vec_remove(&mut self.b1, f);
-        vec_remove(&mut self.b2, f);
-        self.make_room_for_new();
-        self.t1.push(f);
-    }
-
-    fn contains(&self, f: FileId) -> bool {
-        self.t1.contains(&f) || self.t2.contains(&f)
-    }
-
-    fn len(&self) -> usize {
-        self.t1.len() + self.t2.len()
-    }
-}
-
 // -------------------------------------------------------------- driver ----
 
 fn model_for(kind: PolicyKind, capacity: usize) -> Box<dyn Model> {
@@ -669,18 +318,7 @@ fn model_for(kind: PolicyKind, capacity: usize) -> Box<dyn Model> {
             clock: 0,
             entries: Vec::new(),
         }),
-        PolicyKind::Fifo => Box::new(ModelFifo {
-            capacity,
-            queue: Vec::new(),
-        }),
-        PolicyKind::Clock => Box::new(ModelClock {
-            capacity,
-            slots: Vec::new(),
-            hand: 0,
-        }),
         PolicyKind::TwoQ => Box::new(ModelTwoQ::new(capacity)),
-        PolicyKind::Mq => Box::new(ModelMq::new(capacity)),
-        PolicyKind::Arc => Box::new(ModelArc::new(capacity)),
         PolicyKind::Landlord => Box::new(ModelLandlord::new(capacity, SizeCostAssigner::uniform())),
     }
 }
@@ -737,37 +375,9 @@ fn lfu_differential() {
 }
 
 #[test]
-fn fifo_differential() {
-    for capacity in CAPACITIES {
-        fuzz_policy(PolicyKind::Fifo, capacity, OPS_PER_CAPACITY, SEED);
-    }
-}
-
-#[test]
-fn clock_differential() {
-    for capacity in CAPACITIES {
-        fuzz_policy(PolicyKind::Clock, capacity, OPS_PER_CAPACITY, SEED);
-    }
-}
-
-#[test]
 fn twoq_differential() {
     for capacity in CAPACITIES {
         fuzz_policy(PolicyKind::TwoQ, capacity, OPS_PER_CAPACITY, SEED);
-    }
-}
-
-#[test]
-fn mq_differential() {
-    for capacity in CAPACITIES {
-        fuzz_policy(PolicyKind::Mq, capacity, OPS_PER_CAPACITY, SEED);
-    }
-}
-
-#[test]
-fn arc_differential() {
-    for capacity in CAPACITIES {
-        fuzz_policy(PolicyKind::Arc, capacity, OPS_PER_CAPACITY, SEED);
     }
 }
 

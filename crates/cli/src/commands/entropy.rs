@@ -33,8 +33,8 @@ pub(crate) fn report(
     )
 }
 
-/// Streaming twin of [`report`]: one pass over the events for every
-/// symbol length (and the filter cache, when present) at once.
+/// Streaming twin of the test-only `report`: one pass over the events
+/// for every symbol length (and the filter cache, when present) at once.
 pub(crate) fn report_events<I>(
     events: I,
     max_k: usize,

@@ -21,13 +21,12 @@ use fgcache_types::AccessEvent;
 ///
 /// `--sizes <uniform|pareto|bimodal>` gives every file a deterministic
 /// seeded size and retrieval cost; it applies to `--policy landlord`
-/// (cost-aware replacement) and `--policy agg` (unit-accounted residency
-/// with bundle-aware group admission; add `--bundle true` for whole-group
-/// eviction). Other policies are count-based, so `--sizes` is rejected.
+/// (cost-aware replacement) and `--policy agg` (unit-accounted residency,
+/// with group members trimmed to what fits). Other policies are
+/// count-based, so `--sizes` is rejected.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct SizingOpts {
     pub assigner: Option<SizeCostAssigner>,
-    pub bundle: bool,
 }
 
 impl SizingOpts {
@@ -42,11 +41,7 @@ impl SizingOpts {
             }
             None => None,
         };
-        let bundle = args.flag_or("bundle", false)?;
-        if bundle && assigner.is_none() {
-            return Err("--bundle requires --sizes".into());
-        }
-        Ok(SizingOpts { assigner, bundle })
+        Ok(SizingOpts { assigner })
     }
 }
 
@@ -108,8 +103,7 @@ where
     if policy == "agg" {
         let mut builder = AggregatingCacheBuilder::new(capacity)
             .group_size(group)
-            .successor_capacity(successors)
-            .bundle_eviction(sizing.bundle);
+            .successor_capacity(successors);
         if let Some(assigner) = sizing.assigner {
             builder = builder.sizes(assigner);
         }
@@ -123,13 +117,8 @@ where
         ));
         if let Some(assigner) = sizing.assigner {
             out.push_str(&format!(
-                "size model        {} (seed-assigned){}\n",
-                assigner.distribution(),
-                if sizing.bundle {
-                    ", whole-group eviction"
-                } else {
-                    ""
-                }
+                "size model        {} (seed-assigned)\n",
+                assigner.distribution()
             ));
         }
         out.push_str(&format!("accesses          {}\n", stats.accesses));
@@ -203,7 +192,7 @@ pub(crate) struct MulticlientOpts {
     pub capacity: usize,
     pub group: usize,
     pub successors: usize,
-    /// Size/cost model for the sharded server (`--sizes`, `--bundle`).
+    /// Size/cost model for the sharded server (`--sizes`, `--size-seed`).
     pub sizing: SizingOpts,
 }
 
@@ -243,8 +232,7 @@ where
     let mut builder = ShardedAggregatingCacheBuilder::new(capacity)
         .shards(shards)
         .group_size(group)
-        .successor_capacity(successors)
-        .bundle_eviction(opts.sizing.bundle);
+        .successor_capacity(successors);
     if let Some(assigner) = opts.sizing.assigner {
         builder = builder.sizes(assigner);
     }
@@ -286,7 +274,6 @@ pub fn run(tokens: &[String]) -> Result<(), Box<dyn Error>> {
         "filter",
         "sizes",
         "size-seed",
-        "bundle",
     ])?;
     let path = args.require_positional(0, "trace")?;
     let capacity: usize = args.require_flag("capacity")?;
@@ -363,10 +350,9 @@ mod tests {
         }
     }
 
-    fn sized(dist: SizeDistribution, bundle: bool) -> SizingOpts {
+    fn sized(dist: SizeDistribution) -> SizingOpts {
         SizingOpts {
             assigner: Some(SizeCostAssigner::new(dist, 42)),
-            bundle,
         }
     }
 
@@ -378,14 +364,8 @@ mod tests {
 
     #[test]
     fn landlord_sized_report() {
-        let text = simulate_sized(
-            &trace(),
-            "landlord",
-            10,
-            5,
-            sized(SizeDistribution::Pareto, false),
-        )
-        .unwrap();
+        let text =
+            simulate_sized(&trace(), "landlord", 10, 5, sized(SizeDistribution::Pareto)).unwrap();
         assert!(text.contains("size model     pareto"), "{text}");
         assert!(text.contains("accesses       500"));
     }
@@ -398,7 +378,7 @@ mod tests {
             "landlord",
             10,
             5,
-            sized(SizeDistribution::Uniform, false),
+            sized(SizeDistribution::Uniform),
         )
         .unwrap();
         // Same misses/hit-rate/evictions lines (skip the differing headers).
@@ -413,30 +393,16 @@ mod tests {
 
     #[test]
     fn aggregating_sized_report() {
-        let text = simulate_sized(
-            &trace(),
-            "agg",
-            20,
-            3,
-            sized(SizeDistribution::Bimodal, true),
-        )
-        .unwrap();
+        let text =
+            simulate_sized(&trace(), "agg", 20, 3, sized(SizeDistribution::Bimodal)).unwrap();
         assert!(text.contains("size model        bimodal"), "{text}");
-        assert!(text.contains("whole-group eviction"));
         assert!(text.contains("units transferred"));
         assert!(text.contains("units resident"));
     }
 
     #[test]
     fn sizes_rejected_for_count_based_policies() {
-        assert!(simulate_sized(
-            &trace(),
-            "arc",
-            10,
-            5,
-            sized(SizeDistribution::Pareto, false)
-        )
-        .is_err());
+        assert!(simulate_sized(&trace(), "2q", 10, 5, sized(SizeDistribution::Pareto)).is_err());
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub(crate) fn report(trace: &Trace) -> String {
     render(&TraceStats::compute(trace))
 }
 
-/// Streaming twin of [`report`]: consumes the events once, never holding
+/// Streaming twin of the test-only `report`: consumes the events once, never holding
 /// more than the builder's distinct-file table.
 pub(crate) fn report_events<I>(events: I) -> Result<String, TraceIoError>
 where

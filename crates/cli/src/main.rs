@@ -4,7 +4,7 @@
 //! fgcache gen       --profile server --events 100000 --seed 1 --out trace.txt
 //! fgcache stats     trace.txt
 //! fgcache entropy   trace.txt [--max-k 20] [--filter CAPACITY]
-//! fgcache simulate  trace.txt --capacity 300 [--policy lru|lfu|fifo|clock|2q|mq|arc|agg] [--group 5]
+//! fgcache simulate  trace.txt --capacity 300 [--policy lru|lfu|2q|landlord|agg] [--group 5]
 //! fgcache simulate  trace.txt --capacity 400 --clients 4 --shards 4 [--filter 100]
 //! fgcache two-level trace.txt --filter 200 --server 300 [--scheme g5|lru|lfu|...]
 //! fgcache groups    trace.txt [--group-size 5] [--top 10]

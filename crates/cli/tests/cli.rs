@@ -69,9 +69,19 @@ fn full_pipeline_text_format() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("demand fetches"));
 
-    let out = fgcache(&["simulate", &trace, "--capacity", "200", "--policy", "arc"]);
+    let out = fgcache(&["simulate", &trace, "--capacity", "200", "--policy", "2q"]);
     assert!(out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("arc cache"));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("2q cache"));
+
+    // A deleted policy is an unknown name: the error lists the valid ones.
+    let out = fgcache(&["simulate", &trace, "--capacity", "200", "--policy", "arc"]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(err.contains("\"arc\""), "{err}");
+    assert!(
+        err.contains("expected one of lru, lfu, 2q, landlord"),
+        "{err}"
+    );
 
     let out = fgcache(&[
         "simulate",

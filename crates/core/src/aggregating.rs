@@ -5,7 +5,6 @@ mod directory;
 use std::fmt;
 
 use fgcache_cache::{Cache, CacheStats};
-use fgcache_types::hash::FastMap;
 use fgcache_types::sizing::SizeCostAssigner;
 use fgcache_types::{AccessOutcome, FileId, InvariantViolation};
 
@@ -116,16 +115,6 @@ pub struct AggregatingCache {
     // differential fuzzers enforce this, residency order included).
     assigner: Option<SizeCostAssigner>,
     units_used: u64,
-    // Whole-group (bundle) eviction: reclaiming an LRU victim also
-    // reclaims its still-resident co-fetched group members. A demand hit
-    // detaches a file from its fetch group (it has proven independent
-    // worth), so bundles shrink to the members that never did.
-    bundle_eviction: bool,
-    // Bundle tags by directory slot: the demand fetch (numbered from 1)
-    // that brought the file in, 0 when untagged. Stays empty unless
-    // bundle eviction is on.
-    group_of: Vec<u64>,
-    group_members: FastMap<u64, Vec<u32>>,
     // Scratch buffers reused across misses so steady-state group
     // assembly performs zero heap allocation (group sizes are single
     // digits, so these reach their high-water mark almost immediately).
@@ -144,7 +133,6 @@ impl AggregatingCache {
         insertion: InsertionPolicy,
         metadata: MetadataSource,
         assigner: Option<SizeCostAssigner>,
-        bundle_eviction: bool,
     ) -> Self {
         AggregatingCache {
             dir: Directory::new(capacity, successor_capacity),
@@ -155,9 +143,6 @@ impl AggregatingCache {
             group_stats: GroupFetchStats::default(),
             assigner,
             units_used: 0,
-            bundle_eviction,
-            group_of: Vec::new(),
-            group_members: FastMap::default(),
             members: Vec::new(),
             batch: Vec::new(),
             fetched: Vec::new(),
@@ -195,9 +180,6 @@ impl AggregatingCache {
             self.dir.record(slot);
         }
         if self.dir.is_resident(slot) {
-            // The file proved independent worth: detach it from its
-            // fetch group so a bundle eviction no longer reclaims it.
-            self.untag(slot);
             self.dir.hit(slot);
             return (AccessOutcome::Hit, None);
         }
@@ -213,8 +195,8 @@ impl AggregatingCache {
     /// members, make room for the member batch, insert the batch — so a
     /// uniform assigner reproduces the fixed-cost victim sequence
     /// exactly. Sized, admission and the transfer ledger run in size
-    /// units and a fetched group is charged (and optionally evicted) as a
-    /// unit; fixed-cost, every unit count below is zero.
+    /// units and a fetched group is charged as a unit; fixed-cost, every
+    /// unit count below is zero.
     fn group_fetch(&mut self, file: FileId, slot: u32) {
         self.group_stats.demand_fetches += 1;
         self.fetched.clear();
@@ -258,8 +240,7 @@ impl AggregatingCache {
         self.group_stats.size_units_transferred += file_units + batch_units;
         // Room for the whole batch up front (the group is charged as a
         // unit), so batch members cannot displace each other — or the
-        // requested file, which is still untagged and sits at the MRU
-        // head.
+        // requested file, which sits at the MRU head.
         self.make_units_room(batch_units);
         self.dir.insert_speculative_batch(&self.batch);
         if self.insertion == InsertionPolicy::Head {
@@ -276,21 +257,6 @@ impl AggregatingCache {
         self.units_used += batch_units;
         let dir = &self.dir;
         self.fetched.extend(self.batch.iter().map(|&m| dir.file(m)));
-        if self.bundle_eviction {
-            let gid = self.group_stats.demand_fetches;
-            let mut group = Vec::with_capacity(1 + self.batch.len());
-            group.push(slot);
-            group.extend_from_slice(&self.batch);
-            let tags = &mut self.group_of;
-            for &s in &group {
-                let s = s as usize;
-                if tags.len() <= s {
-                    tags.resize(s + 1, 0);
-                }
-                tags[s] = gid;
-            }
-            self.group_members.insert(gid, group);
-        }
     }
 
     /// The capacity in size units. The count capacity doubles as the
@@ -307,52 +273,16 @@ impl AggregatingCache {
             .map_or(0, |a| u64::from(a.size_of(self.dir.file(slot))))
     }
 
-    /// The slot's bundle tag, 0 when untagged.
-    fn tag_of(&self, slot: u32) -> u64 {
-        self.group_of.get(slot as usize).copied().unwrap_or(0)
-    }
-
-    fn untag(&mut self, slot: u32) {
-        if let Some(tag) = self.group_of.get_mut(slot as usize) {
-            *tag = 0;
-        }
-    }
-
-    /// Evicts `slot`, keeping the unit and group accounting in sync.
-    fn evict_sized(&mut self, slot: u32) {
-        if self.dir.evict(slot) {
-            self.units_used -= self.units_of(slot);
-            self.untag(slot);
-        }
-    }
-
-    /// Evicts until `need` more units fit: always the LRU tail next —
-    /// except under bundle eviction, where the tail victim's whole
-    /// still-attached fetch group goes with it. Never loops in the
-    /// fixed-cost configuration, where no unit is counted.
-    ///
-    /// Callers guarantee `need` fits the cache with the current fetch's
-    /// already-admitted files untagged, so the loop never reclaims them.
+    /// Evicts LRU tail victims until `need` more units fit. Never loops
+    /// in the fixed-cost configuration, where no unit is counted.
     fn make_units_room(&mut self, need: u64) {
         while self.units_used + need > self.unit_capacity() {
             let Some(victim) = self.dir.lru() else {
                 break;
             };
-            let gid = self.tag_of(victim);
-            if gid != 0 {
-                if let Some(members) = self.group_members.remove(&gid) {
-                    for m in members {
-                        // Only still-attached members: files re-fetched
-                        // under a later group (or demand-hit, which
-                        // detaches) stay resident.
-                        if self.tag_of(m) == gid {
-                            self.evict_sized(m);
-                        }
-                    }
-                    continue; // the tagged victim was in its own group
-                }
+            if self.dir.evict(victim) {
+                self.units_used -= self.units_of(victim);
             }
-            self.evict_sized(victim);
         }
     }
 
@@ -395,11 +325,6 @@ impl AggregatingCache {
     /// is the occupancy).
     pub fn units_used(&self) -> u64 {
         self.units_used
-    }
-
-    /// Whether whole-group (bundle) eviction is enabled.
-    pub fn bundle_eviction(&self) -> bool {
-        self.bundle_eviction
     }
 
     /// The configured group size `g`.
@@ -468,8 +393,6 @@ impl Cache for AggregatingCache {
         self.accesses = 0;
         self.group_stats = GroupFetchStats::default();
         self.units_used = 0;
-        self.group_of.clear();
-        self.group_members.clear();
     }
 
     fn check_invariants(&self) -> Result<(), InvariantViolation> {
@@ -498,19 +421,6 @@ impl Cache for AggregatingCache {
                 gs.files_transferred, gs.demand_fetches
             ));
         }
-        if self.group_of.len() > self.dir.files() {
-            return err(format!(
-                "{} group tags for {} directory records",
-                self.group_of.len(),
-                self.dir.files()
-            ));
-        }
-        let tagged = || {
-            (0u32..)
-                .zip(&self.group_of)
-                .filter(|&(_, &gid)| gid != 0)
-                .map(|(slot, _)| slot)
-        };
         match self.assigner {
             None => {
                 // Fixed-cost configuration: none of the sized machinery
@@ -526,9 +436,6 @@ impl Cache for AggregatingCache {
                         "{} size units transferred without a size assigner",
                         gs.size_units_transferred
                     ));
-                }
-                if tagged().next().is_some() || !self.group_members.is_empty() {
-                    return err("group tags present without a size assigner".to_string());
                 }
             }
             Some(assigner) => {
@@ -556,17 +463,6 @@ impl Cache for AggregatingCache {
                         "{} size units transferred across {} files (each is >= 1 unit)",
                         gs.size_units_transferred, gs.files_transferred
                     ));
-                }
-                for slot in tagged() {
-                    if !self.dir.is_resident(slot) {
-                        return err(format!(
-                            "group tag for non-resident {}",
-                            self.dir.file(slot)
-                        ));
-                    }
-                }
-                if !self.bundle_eviction && tagged().next().is_some() {
-                    return err("group tags present without bundle eviction".to_string());
                 }
             }
         }
@@ -910,88 +806,6 @@ mod tests {
     }
 
     #[test]
-    fn bundle_eviction_reclaims_whole_group() {
-        // External metadata, uniform sizes, bundle eviction on: fetch the
-        // group {1, 2, 3} cold, fill the cache with unrelated files, and
-        // watch the group leave together when its LRU-most member is
-        // victimised.
-        let mut c = AggregatingCacheBuilder::new(6)
-            .group_size(3)
-            .sizes(SizeCostAssigner::uniform())
-            .bundle_eviction(true)
-            .metadata_source(MetadataSource::External)
-            .build()
-            .unwrap();
-        for id in [1u64, 2, 3, 1, 2, 3] {
-            c.observe_metadata(FileId(id));
-        }
-        c.handle_access(FileId(1)); // fetches {1, 2, 3}, all tagged
-        assert!(c.contains(FileId(2)) && c.contains(FileId(3)));
-        // Three unrelated misses fill the cache to 6/6; the group sits at
-        // the LRU end (members 2, 3 at the tail, then 1).
-        for id in [10u64, 11, 12] {
-            c.handle_access(FileId(id));
-            c.check_invariants().unwrap();
-        }
-        assert_eq!(c.len(), 6);
-        // One more miss needs one unit, but the tail victim (3) drags its
-        // whole still-attached group out with it.
-        c.handle_access(FileId(13));
-        assert!(
-            !c.contains(FileId(1)),
-            "group member 1 evicted with its bundle"
-        );
-        assert!(
-            !c.contains(FileId(2)),
-            "group member 2 evicted with its bundle"
-        );
-        assert!(
-            !c.contains(FileId(3)),
-            "group member 3 evicted with its bundle"
-        );
-        assert!(c.contains(FileId(13)));
-        c.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn demand_hit_detaches_file_from_its_bundle() {
-        let mut c = AggregatingCacheBuilder::new(6)
-            .group_size(3)
-            .sizes(SizeCostAssigner::uniform())
-            .bundle_eviction(true)
-            .metadata_source(MetadataSource::External)
-            .build()
-            .unwrap();
-        for id in [1u64, 2, 3, 1, 2, 3] {
-            c.observe_metadata(FileId(id));
-        }
-        c.handle_access(FileId(1)); // fetches {1, 2, 3}
-        assert!(c.handle_access(FileId(2)).is_hit()); // 2 proves its worth
-        for id in [10u64, 11, 12] {
-            c.handle_access(FileId(id));
-        }
-        // Victimising the remaining bundle (3 at the tail, with 1) must
-        // not reclaim the detached 2.
-        c.handle_access(FileId(13));
-        assert!(!c.contains(FileId(1)));
-        assert!(!c.contains(FileId(3)));
-        assert!(
-            c.contains(FileId(2)),
-            "a demand hit detaches a file from its bundle"
-        );
-        c.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn bundle_eviction_requires_sizes() {
-        let err = AggregatingCacheBuilder::new(10)
-            .bundle_eviction(true)
-            .build()
-            .unwrap_err();
-        assert_eq!(err.parameter(), "bundle_eviction");
-    }
-
-    #[test]
     fn sized_invariants_catch_corrupted_unit_ledger() {
         // The PR-1 auditor pattern: corrupt the redundant sized state and
         // prove check_invariants notices.
@@ -1012,9 +826,6 @@ mod tests {
         );
         c.units_used -= 1;
         assert!(c.check_invariants().is_ok());
-        // Group tags without bundle eviction are a contract violation.
-        c.group_of.push(1);
-        assert!(c.check_invariants().is_err(), "stray group tag undetected");
     }
 
     #[test]

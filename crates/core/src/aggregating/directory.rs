@@ -354,12 +354,6 @@ impl Directory {
         self.resident
     }
 
-    /// Records held: every file requested, observed or inserted since the
-    /// last [`Self::clear`].
-    pub(crate) fn files(&self) -> usize {
-        self.records.len()
-    }
-
     pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }

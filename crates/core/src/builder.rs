@@ -34,7 +34,6 @@ pub struct AggregatingCacheBuilder {
     insertion: InsertionPolicy,
     metadata: MetadataSource,
     sizes: Option<SizeCostAssigner>,
-    bundle_eviction: bool,
 }
 
 impl AggregatingCacheBuilder {
@@ -50,7 +49,6 @@ impl AggregatingCacheBuilder {
             insertion: InsertionPolicy::default(),
             metadata: MetadataSource::default(),
             sizes: None,
-            bundle_eviction: false,
         }
     }
 
@@ -61,15 +59,6 @@ impl AggregatingCacheBuilder {
     /// configuration.
     pub fn sizes(mut self, assigner: SizeCostAssigner) -> Self {
         self.sizes = Some(assigner);
-        self
-    }
-
-    /// Enables whole-group (bundle) eviction: reclaiming an LRU victim
-    /// also reclaims its still-attached co-fetched group members.
-    /// Requires [`Self::sizes`] (bundle accounting rides on the sized
-    /// path); [`Self::build`] rejects the combination otherwise.
-    pub fn bundle_eviction(mut self, enabled: bool) -> Self {
-        self.bundle_eviction = enabled;
         self
     }
 
@@ -102,9 +91,8 @@ impl AggregatingCacheBuilder {
     /// # Errors
     ///
     /// Returns a [`ValidationError`] if the cache capacity or group size
-    /// is zero, the successor capacity is zero, the group size exceeds
-    /// the cache capacity (a group must fit in the cache), or bundle
-    /// eviction is requested without a size assigner.
+    /// is zero, the successor capacity is zero, or the group size exceeds
+    /// the cache capacity (a group must fit in the cache).
     pub fn build(&self) -> Result<AggregatingCache, ValidationError> {
         if self.capacity == 0 {
             return Err(ValidationError::new(
@@ -116,12 +104,6 @@ impl AggregatingCacheBuilder {
             return Err(ValidationError::new(
                 "group_size",
                 "a whole group must fit in the cache (group_size <= capacity)",
-            ));
-        }
-        if self.bundle_eviction && self.sizes.is_none() {
-            return Err(ValidationError::new(
-                "bundle_eviction",
-                "bundle eviction requires a size assigner (use .sizes())",
             ));
         }
         if self.group_size == 0 {
@@ -143,7 +125,6 @@ impl AggregatingCacheBuilder {
             self.insertion,
             self.metadata,
             self.sizes,
-            self.bundle_eviction,
         ))
     }
 }

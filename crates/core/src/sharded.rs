@@ -520,7 +520,6 @@ pub struct ShardedAggregatingCacheBuilder {
     insertion: InsertionPolicy,
     metadata: MetadataSource,
     sizes: Option<SizeCostAssigner>,
-    bundle_eviction: bool,
 }
 
 impl ShardedAggregatingCacheBuilder {
@@ -537,7 +536,6 @@ impl ShardedAggregatingCacheBuilder {
             insertion: InsertionPolicy::default(),
             metadata: MetadataSource::default(),
             sizes: None,
-            bundle_eviction: false,
         }
     }
 
@@ -546,14 +544,6 @@ impl ShardedAggregatingCacheBuilder {
     /// capacity slice in size units.
     pub fn sizes(mut self, assigner: SizeCostAssigner) -> Self {
         self.sizes = Some(assigner);
-        self
-    }
-
-    /// Enables whole-group (bundle) eviction on every shard (see
-    /// [`AggregatingCacheBuilder::bundle_eviction`]); requires
-    /// [`Self::sizes`].
-    pub fn bundle_eviction(mut self, enabled: bool) -> Self {
-        self.bundle_eviction = enabled;
         self
     }
 
@@ -633,8 +623,7 @@ impl ShardedAggregatingCacheBuilder {
                 .group_size(self.group_size.min(slice))
                 .successor_capacity(self.successor_capacity)
                 .insertion_policy(self.insertion)
-                .metadata_source(self.metadata)
-                .bundle_eviction(self.bundle_eviction);
+                .metadata_source(self.metadata);
             if let Some(assigner) = self.sizes {
                 builder = builder.sizes(assigner);
             }

@@ -13,9 +13,10 @@
 //! Each seed draws a batch of random configurations: capacity 1–40,
 //! group size 1–min(7, capacity), successor capacity 1–16, `Tail` or
 //! `Head` insertion, `Requests` or `External` metadata (with
-//! `observe_metadata` interleaved), and no size assigner, a uniform one,
-//! or a Pareto one with and without bundle eviction. Streams mix demand
-//! accesses, `Cache::insert_speculative` calls and, in half the runs, a
+//! `observe_metadata` interleaved), and no size assigner (a quarter of
+//! the draws), a uniform one (a quarter) or a Pareto one (half, so the
+//! sized admission and trimming paths get the most streams). Streams mix
+//! demand accesses, `Cache::insert_speculative` calls and, in half the runs, a
 //! mid-stream `clear()`.
 //!
 //! Everything is seeded. `cargo xtask fuzz` re-runs this suite over a
@@ -62,7 +63,6 @@ struct Config {
     insertion: InsertionPolicy,
     metadata: MetadataSource,
     sizes: Option<SizeCostAssigner>,
-    bundle_eviction: bool,
     clear_at: Option<usize>,
 }
 
@@ -78,11 +78,10 @@ impl Config {
             .choose(&[MetadataSource::Requests, MetadataSource::External])
             .expect("non-empty");
         let pareto = SizeCostAssigner::new(SizeDistribution::Pareto, rng.next_u64());
-        let (sizes, bundle_eviction) = match rng.gen_index(4) {
-            0 => (None, false),
-            1 => (Some(SizeCostAssigner::uniform()), false),
-            2 => (Some(pareto), false),
-            _ => (Some(pareto), true),
+        let sizes = match rng.gen_index(4) {
+            0 => None,
+            1 => Some(SizeCostAssigner::uniform()),
+            _ => Some(pareto),
         };
         let clear_at = rng.chance(0.5).then(|| rng.gen_index(OPS));
         Config {
@@ -92,7 +91,6 @@ impl Config {
             insertion,
             metadata,
             sizes,
-            bundle_eviction,
             clear_at,
         }
     }
@@ -102,8 +100,7 @@ impl Config {
             .group_size(self.group_size)
             .successor_capacity(self.successor_capacity)
             .insertion_policy(self.insertion)
-            .metadata_source(self.metadata)
-            .bundle_eviction(self.bundle_eviction);
+            .metadata_source(self.metadata);
         if let Some(sizes) = self.sizes {
             b = b.sizes(sizes);
         }
@@ -166,7 +163,6 @@ fn fuzz_one(cfg: &Config, seed: u64, cov: &mut Coverage) {
     let mut want = reference::build(cfg);
     assert_eq!(want.group_size(), got.group_size());
     assert_eq!(want.size_assigner(), got.size_assigner());
-    assert_eq!(want.bundle_eviction(), got.bundle_eviction());
     let mut rng = SeededRng::new(seed);
     let universe = cfg.capacity as u64 * 3 + 8;
     let observe_p = match cfg.metadata {
@@ -237,7 +233,6 @@ mod reference {
     use fgcache_cache::{Cache, CacheStats, LruCache};
     use fgcache_core::{GroupFetchStats, InsertionPolicy, MetadataSource};
     use fgcache_successor::{GroupBuilder, LruSuccessorList, SuccessorTable};
-    use fgcache_types::hash::FastMap;
     use fgcache_types::sizing::SizeCostAssigner;
     use fgcache_types::{AccessOutcome, FileId, InvariantViolation};
 
@@ -252,7 +247,6 @@ mod reference {
             cfg.insertion,
             cfg.metadata,
             cfg.sizes,
-            cfg.bundle_eviction,
         )
     }
 
@@ -278,13 +272,6 @@ mod reference {
         // (the differential fuzzers enforce this, residency order included).
         assigner: Option<SizeCostAssigner>,
         units_used: u64,
-        // Whole-group (bundle) eviction: reclaiming an LRU victim also
-        // reclaims its still-resident co-fetched group members. A demand hit
-        // detaches a file from its fetch group (it has proven independent
-        // worth), so bundles shrink to the members that never did.
-        bundle_eviction: bool,
-        group_of: FastMap<FileId, u64>,
-        group_members: FastMap<u64, Vec<FileId>>,
         // Scratch buffers reused across misses so steady-state group
         // assembly performs zero heap allocation (group sizes are single
         // digits, so these reach their high-water mark almost immediately).
@@ -301,7 +288,6 @@ mod reference {
             insertion: InsertionPolicy,
             metadata: MetadataSource,
             assigner: Option<SizeCostAssigner>,
-            bundle_eviction: bool,
         ) -> Self {
             ReferenceCache {
                 cache,
@@ -313,9 +299,6 @@ mod reference {
                 group_stats: GroupFetchStats::default(),
                 assigner,
                 units_used: 0,
-                bundle_eviction,
-                group_of: FastMap::default(),
-                group_members: FastMap::default(),
                 scratch_members: Vec::new(),
                 scratch_ranked: Vec::new(),
                 fetched: Vec::new(),
@@ -355,11 +338,6 @@ mod reference {
                 self.table.record(file);
             }
             if self.cache.contains(file) {
-                if self.bundle_eviction {
-                    // The file proved independent worth: detach it from its
-                    // fetch group so a bundle eviction no longer reclaims it.
-                    self.group_of.remove(&file);
-                }
                 return (self.cache.access(file), None);
             }
             if let Some(assigner) = self.assigner {
@@ -420,48 +398,22 @@ mod reference {
             self.cache.capacity() as u64
         }
 
-        /// Evicts `file`, keeping the unit and group accounting in sync.
-        fn evict_sized(&mut self, file: FileId, assigner: SizeCostAssigner) {
-            if self.cache.evict_file(file) {
-                self.units_used -= u64::from(assigner.size_of(file));
-                self.group_of.remove(&file);
-            }
-        }
-
-        /// Evicts until `need` more units fit, mirroring the legacy victim
-        /// sequence: always the LRU tail next — except under bundle
-        /// eviction, where the tail victim's whole still-attached fetch
-        /// group goes with it.
-        ///
-        /// Callers guarantee `need` fits the cache with the current fetch's
-        /// already-admitted files untagged, so the loop never reclaims them.
+        /// Evicts LRU tail victims until `need` more units fit, mirroring
+        /// the legacy victim sequence.
         fn make_units_room(&mut self, need: u64, assigner: SizeCostAssigner) {
             while self.units_used + need > self.unit_capacity() {
                 let Some(victim) = self.cache.lru() else {
                     break;
                 };
-                if self.bundle_eviction {
-                    if let Some(&gid) = self.group_of.get(&victim) {
-                        if let Some(members) = self.group_members.remove(&gid) {
-                            for m in members {
-                                // Only still-attached members: files re-fetched
-                                // under a later group (or demand-hit, which
-                                // detaches) stay resident.
-                                if self.group_of.get(&m) == Some(&gid) {
-                                    self.evict_sized(m, assigner);
-                                }
-                            }
-                            continue; // the tagged victim was in its own group
-                        }
-                    }
+                if self.cache.evict_file(victim) {
+                    self.units_used -= u64::from(assigner.size_of(victim));
                 }
-                self.evict_sized(victim, assigner);
             }
         }
 
         /// The demand-miss path when files carry sizes: admission, eviction
         /// and the transfer ledger all run in size units, and a fetched
-        /// group is charged and (optionally) evicted as a unit.
+        /// group is charged as a unit.
         ///
         /// The operation order deliberately mirrors the legacy path step for
         /// step — room for the requested file, admit it, member scan, room
@@ -516,7 +468,7 @@ mod reference {
             // Room for the whole batch up front (the group is charged as a
             // unit), so the inner cache never evicts on its own and batch
             // members cannot displace each other — or the requested file,
-            // which is still untagged and sits at the MRU head.
+            // which sits at the MRU head.
             self.make_units_room(batch_units, assigner);
             match self.insertion {
                 InsertionPolicy::Tail => self.cache.insert_speculative_batch(&fetched[1..]),
@@ -529,13 +481,6 @@ mod reference {
                 }
             }
             self.units_used += batch_units;
-            if self.bundle_eviction {
-                let gid = self.group_stats.demand_fetches;
-                for &f in &fetched {
-                    self.group_of.insert(f, gid);
-                }
-                self.group_members.insert(gid, fetched.clone());
-            }
             self.scratch_members = members;
             self.scratch_ranked = ranked;
             self.fetched = fetched;
@@ -580,11 +525,6 @@ mod reference {
         /// is the occupancy).
         pub fn units_used(&self) -> u64 {
             self.units_used
-        }
-
-        /// Whether whole-group (bundle) eviction is enabled.
-        pub fn bundle_eviction(&self) -> bool {
-            self.bundle_eviction
         }
 
         /// The configured group size `g`.
@@ -658,8 +598,6 @@ mod reference {
             self.accesses = 0;
             self.group_stats = GroupFetchStats::default();
             self.units_used = 0;
-            self.group_of.clear();
-            self.group_members.clear();
         }
 
         fn check_invariants(&self) -> Result<(), InvariantViolation> {
@@ -705,9 +643,6 @@ mod reference {
                             gs.size_units_transferred
                         ));
                     }
-                    if !self.group_of.is_empty() || !self.group_members.is_empty() {
-                        return err("group tags present without a size assigner".to_string());
-                    }
                 }
                 Some(assigner) => {
                     if self.units_used > self.unit_capacity() {
@@ -734,14 +669,6 @@ mod reference {
                             "{} size units transferred across {} files (each is >= 1 unit)",
                             gs.size_units_transferred, gs.files_transferred
                         ));
-                    }
-                    for &f in self.group_of.keys() {
-                        if !self.cache.contains(f) {
-                            return err(format!("group tag for non-resident {f}"));
-                        }
-                    }
-                    if !self.bundle_eviction && !self.group_of.is_empty() {
-                        return err("group tags present without bundle eviction".to_string());
                     }
                 }
             }

@@ -71,8 +71,8 @@ impl LruMruModel {
     ///
     /// Returns a [`ValidationError`] if the vectors are empty or
     /// mismatched, a probability is non-positive or the sum is off 1, the
-    /// capacity is 0 or above [`MAX_CAPACITY`], or the ordered-tuple
-    /// state space would exceed the enumeration cap.
+    /// capacity is 0 or above 8 (the `u64` state packing), or the
+    /// ordered-tuple state space would exceed the enumeration cap.
     pub fn new(probs: &[f64], capacity: usize, mru: &[bool]) -> Result<Self, ValidationError> {
         if probs.is_empty() {
             return Err(ValidationError::new("probs", "must not be empty"));
@@ -261,7 +261,7 @@ impl LruMruModel {
     /// summed over every ordered tuple weighted by its resident mass.
     ///
     /// This is an algebraically independent computation from
-    /// [`stationary_hit_rate`]'s power iteration; the two agreeing is
+    /// [`Self::stationary_hit_rate`]'s power iteration; the two agreeing is
     /// the model's own correctness gate.
     ///
     /// Returns `None` if any item is MRU-typed (the product form does
@@ -311,7 +311,7 @@ impl LruMruModel {
 
 /// The trace-driven reference implementation of the generalized LRU-MRU
 /// cache — the simulator twin of [`LruMruModel`], with byte-for-byte
-/// identical dynamics ([`LruMruModel::step`] is the spec for both).
+/// identical dynamics (the model's private `step` is the spec for both).
 ///
 /// Items are dense ranks `0..universe`. The ordered list keeps the
 /// front at index 0; eviction removes the back. Below capacity, misses

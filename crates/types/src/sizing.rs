@@ -63,7 +63,7 @@ pub enum SizeDistribution {
     Pareto,
     /// 15/16 of files are small (size 1), 1/16 are large (size 64) —
     /// the bimodal "config files and media blobs" caricature that
-    /// stresses bundle admission hardest.
+    /// stresses group trimming hardest.
     Bimodal,
 }
 

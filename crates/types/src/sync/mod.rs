@@ -4,9 +4,10 @@
 //! lock counter touch goes through this module instead of
 //! `std::sync::atomic` directly. The indirection buys one thing: a
 //! build with the `fgcache_model` feature can route every load, store
-//! and RMW through a deterministic interleaving model ([`model`]) that
-//! explores bounded schedules of small concurrent scenarios and checks
-//! their memory-ordering claims — machine-checked instead of prose.
+//! and RMW through a deterministic interleaving model (the `model`
+//! module, compiled only with the feature) that explores bounded
+//! schedules of small concurrent scenarios and checks their
+//! memory-ordering claims — machine-checked instead of prose.
 //!
 //! # Production builds (default)
 //!

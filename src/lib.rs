@@ -17,8 +17,8 @@
 //!   [`types::AccessEvent`], …).
 //! * [`trace`] — workload traces, trace IO and the synthetic DFSTrace-like
 //!   workload generator.
-//! * [`cache`] — the cache simulation substrate (LRU, LFU, FIFO, Clock,
-//!   2Q, MQ, ARC) and the intervening-cache filter.
+//! * [`cache`] — the cache simulation substrate (LRU, LFU, 2Q,
+//!   Landlord) and the intervening-cache filter.
 //! * [`successor`] — per-file successor lists (LRU/LFU/Oracle/decayed
 //!   replacement), the relationship graph and the group builder.
 //! * [`core`] — the aggregating cache itself: client-side and server-side
