@@ -16,18 +16,18 @@
 
 use std::error::Error;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Seek, Write};
+use std::io::{BufReader, Read, Seek, Write};
 
 use fgcache_trace::convert::{ConvertReport, DfstraceEvents, StraceEvents};
 use fgcache_trace::io::TraceIoError;
 use fgcache_trace::stream::TraceSink;
 
 use crate::args::Args;
-use crate::commands::{detect_format, TraceFormat};
+use crate::commands::{create_trace_sink, detect_format};
 
-/// Streams every event from `events` into `sink`, flushing the buffered
-/// writer so sink errors surface instead of being swallowed on drop.
-fn pump<I, W>(events: &mut I, mut sink: TraceSink<BufWriter<W>>) -> Result<(), TraceIoError>
+/// Streams every event from `events` into `sink`; [`TraceSink::finish`]
+/// flushes, so sink errors surface instead of being swallowed on drop.
+fn pump<I, W>(events: &mut I, mut sink: TraceSink<W>) -> Result<(), TraceIoError>
 where
     I: Iterator<Item = Result<fgcache_types::AccessEvent, TraceIoError>>,
     W: Write + Seek,
@@ -35,25 +35,18 @@ where
     for ev in events {
         sink.push(&ev?)?;
     }
-    sink.finish()?.flush()?;
+    sink.finish()?;
     Ok(())
 }
 
-/// Converts `input` (in dialect `from`) to an fgcache trace at `out_path`
-/// in `out_fmt`, returning the human-readable summary.
-pub(crate) fn convert<R: Read>(
+/// Converts `input` (in dialect `from`) into `sink`, returning the
+/// human-readable summary.
+pub(crate) fn convert<R: Read, W: Write + Seek>(
     input: R,
     from: &str,
-    out: File,
-    out_fmt: TraceFormat,
+    sink: TraceSink<W>,
 ) -> Result<String, Box<dyn Error>> {
     let reader = BufReader::new(input);
-    let writer = BufWriter::new(out);
-    let sink = match out_fmt {
-        TraceFormat::Text => TraceSink::text(writer)?,
-        TraceFormat::Json => TraceSink::json(writer)?,
-        TraceFormat::Binary => TraceSink::binary(writer)?,
-    };
     let report: ConvertReport = match from {
         "dfstrace" => {
             let mut src = DfstraceEvents::new(reader);
@@ -78,30 +71,35 @@ pub fn run(tokens: &[String]) -> Result<(), Box<dyn Error>> {
     let out_path: String = args.require_flag("out")?;
     let out_fmt = detect_format(&out_path, args.flag("to"))?;
     let input = File::open(input_path).map_err(|e| format!("cannot open {input_path}: {e}"))?;
-    let out = File::create(&out_path).map_err(|e| format!("cannot create {out_path}: {e}"))?;
-    print!("{}", convert(input, &from, out, out_fmt)?);
+    let sink = create_trace_sink(&out_path, out_fmt)?;
+    print!("{}", convert(input, &from, sink)?);
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::commands::load_trace;
+    use crate::commands::{load_trace, TraceFormat};
+    use std::io::Cursor;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
+    fn tmp(name: &str) -> String {
         let mut p = std::env::temp_dir();
         p.push(format!("fgcache-convert-{}-{name}", std::process::id()));
-        p
+        p.to_string_lossy().into_owned()
+    }
+
+    fn text_sink() -> TraceSink<Cursor<Vec<u8>>> {
+        TraceSink::text(Cursor::new(Vec::new())).unwrap()
     }
 
     #[test]
     fn dfstrace_to_text_roundtrips_through_load() {
         let log = "0.1 alice open /a\n0.2 bob read /b\n0.3 alice write /a\n";
         let out_path = tmp("d.txt");
-        let out = File::create(&out_path).unwrap();
-        let summary = convert(log.as_bytes(), "dfstrace", out, TraceFormat::Text).unwrap();
+        let sink = create_trace_sink(&out_path, TraceFormat::Text).unwrap();
+        let summary = convert(log.as_bytes(), "dfstrace", sink).unwrap();
         assert!(summary.contains("3 events"), "{summary}");
-        let trace = load_trace(out_path.to_str().unwrap(), None).unwrap();
+        let trace = load_trace(&out_path, None).unwrap();
         assert_eq!(trace.len(), 3);
         assert_eq!(trace.clients().len(), 2);
         std::fs::remove_file(&out_path).ok();
@@ -114,31 +112,25 @@ mod tests {
 [pid 10] openat(AT_FDCWD, \"/tmp/x\", O_WRONLY|O_CREAT, 0644) = 4\n\
 [pid 11] unlink(\"/tmp/x\") = 0\n";
         let out_path = tmp("s.bin");
-        let out = File::create(&out_path).unwrap();
-        let summary = convert(log.as_bytes(), "strace", out, TraceFormat::Binary).unwrap();
+        let sink = create_trace_sink(&out_path, TraceFormat::Binary).unwrap();
+        let summary = convert(log.as_bytes(), "strace", sink).unwrap();
         assert!(summary.contains("3 events"), "{summary}");
-        let trace = load_trace(out_path.to_str().unwrap(), None).unwrap();
+        let trace = load_trace(&out_path, None).unwrap();
         assert_eq!(trace.len(), 3);
         std::fs::remove_file(&out_path).ok();
     }
 
     #[test]
     fn unknown_dialect_is_rejected() {
-        let out_path = tmp("u.txt");
-        let out = File::create(&out_path).unwrap();
-        let err = convert(&b"x"[..], "ltrace", out, TraceFormat::Text).unwrap_err();
+        let err = convert(&b"x"[..], "ltrace", text_sink()).unwrap_err();
         assert!(err.to_string().contains("dfstrace|strace"));
-        std::fs::remove_file(&out_path).ok();
     }
 
     #[test]
     fn malformed_dfstrace_reports_line_number() {
         let log = "0.1 alice open /a\nnot a line\n";
-        let out_path = tmp("m.txt");
-        let out = File::create(&out_path).unwrap();
-        let err = convert(log.as_bytes(), "dfstrace", out, TraceFormat::Text).unwrap_err();
+        let err = convert(log.as_bytes(), "dfstrace", text_sink()).unwrap_err();
         assert!(err.to_string().contains("line 2"), "{err}");
-        std::fs::remove_file(&out_path).ok();
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! `fgcache gen` — generate a synthetic workload trace.
 
 use std::error::Error;
-use std::fs::File;
 
 use fgcache_trace::synth::{SynthConfig, WorkloadProfile};
-use fgcache_trace::{io, Trace};
+use fgcache_trace::Trace;
 
 use crate::args::Args;
+use crate::commands::{create_trace_sink, detect_format};
 
 const FLAGS: &[&str] = &[
     "profile",
@@ -54,14 +54,12 @@ pub(crate) fn build_trace(args: &Args) -> Result<Trace, Box<dyn Error>> {
 pub fn run(tokens: &[String]) -> Result<(), Box<dyn Error>> {
     let args = Args::parse(tokens.iter().cloned())?;
     let trace = build_trace(&args)?;
-    let out = args.flag("out").unwrap_or("trace.txt").to_string();
-    let file = File::create(&out).map_err(|e| format!("cannot create {out}: {e}"))?;
-    match args.flag("format").unwrap_or("text") {
-        "text" => io::write_text(&trace, file)?,
-        "json" => io::write_json(&trace, file)?,
-        "bin" | "binary" => io::write_binary(&trace, file)?,
-        other => return Err(format!("unknown --format {other:?} (text|json|bin)").into()),
+    let out = args.flag("out").unwrap_or("trace.txt");
+    let mut sink = create_trace_sink(out, detect_format(out, args.flag("format"))?)?;
+    for ev in trace.events() {
+        sink.push(ev)?;
     }
+    sink.finish()?;
     println!("wrote {} events to {out}", trace.len());
     Ok(())
 }

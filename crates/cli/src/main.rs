@@ -14,13 +14,13 @@
 //! fgcache serve     --capacity 400 [--addr 127.0.0.1:0] [--shards 4] [--max-conns 1024] [--workers 4] [--node-id 1 [--peers 1=HOST:PORT,...]]
 //! fgcache bench-net --loopback true [--clients 4] [--events 10000] [--batch 1,8,32]
 //! fgcache bench-cluster [--nodes 3] [--events 6000] [--virtual true]
-//! fgcache convert   access.log --from strace --out trace.bin [--to text|json|bin]
+//! fgcache convert   access.log --from strace --out trace.bin [--to text|bin]
 //! ```
 //!
-//! Traces are read in the text format (`seq client kind file` per line),
-//! JSON (`--format json`) or binary (`--format bin`); `stats`, `entropy`
-//! and `simulate` stream events from disk, so traces far larger than
-//! memory replay fine.
+//! Traces are read and written in the text format (`seq client kind file`
+//! per line) or the binary format (`--format bin`, or a `.bin` path);
+//! `stats`, `entropy` and `simulate` stream events from disk, so traces
+//! far larger than memory replay fine.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -157,10 +157,11 @@ fn full_pipeline_text_format() {
 #[test]
 fn binary_format_roundtrips_through_cli() {
     let trace = tmp("pipeline.bin");
-    let out = fgcache(&[
-        "gen", "--events", "1000", "--seed", "2", "--out", &trace, "--format", "bin",
-    ]);
+    // `gen` picks the format from the extension, as the readers do.
+    let out = fgcache(&["gen", "--events", "1000", "--seed", "2", "--out", &trace]);
     assert!(out.status.success());
+    let bytes = std::fs::read(&trace).unwrap();
+    assert!(bytes.starts_with(b"FGTRACE1"), "{:?}", &bytes[..8]);
     // Extension-based autodetection.
     let out = fgcache(&["stats", &trace]);
     assert!(out.status.success());
@@ -188,5 +189,25 @@ fn bad_flags_fail_with_messages() {
     let out = fgcache(&["simulate", &trace, "--capacity", "10", "--wat", "1"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
+
+    // JSON is not a trace format: every format flag names the two there are.
+    let json_out = tmp("badflags.json");
+    for args in [
+        vec![
+            "gen", "--events", "10", "--out", &json_out, "--format", "json",
+        ],
+        vec!["stats", &trace, "--format", "json"],
+        vec![
+            "convert", &trace, "--from", "dfstrace", "--out", &json_out, "--to", "json",
+        ],
+    ] {
+        let out = fgcache(&args);
+        assert!(!out.status.success(), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(
+            err.contains("unknown trace format \"json\" (text|bin)"),
+            "{args:?}: {err}"
+        );
+    }
     std::fs::remove_file(&trace).ok();
 }

@@ -1,17 +1,18 @@
 //! Reading and writing traces.
 //!
-//! Three formats are supported:
+//! Two formats are supported:
 //!
 //! * **Text** — one event per line, `seq client kind file`, where `kind` is
 //!   the one-character code from
 //!   [`AccessKind::code`](fgcache_types::AccessKind::code). Lines starting
 //!   with `#` and blank lines are ignored. This format is easy to produce
 //!   from real trace data and to inspect by eye.
-//! * **JSON** — `{"events":[{"seq":…,"client":…,"file":…,"kind":"Read"},…]}`
-//!   via the in-repo [`fgcache_types::json`] codec, for lossless
-//!   round-trips of tooling output.
 //! * **Binary** — fixed-width little-endian records behind a magic header
 //!   ([`write_binary`]/[`read_binary`]), for fast bulk storage.
+//!
+//! The functions here are whole-trace adapters over the streaming readers
+//! and sinks of [`crate::stream`], so each format has one decoder and one
+//! encoder.
 //!
 //! ```
 //! use fgcache_trace::{io, Trace};
@@ -30,7 +31,6 @@ use std::error::Error;
 use std::fmt;
 use std::io::{Read, Write};
 
-use fgcache_types::json::Json;
 use fgcache_types::{AccessEvent, AccessKind, ClientId, FileId, SeqNo, ValidationError};
 
 use crate::Trace;
@@ -49,8 +49,6 @@ pub enum TraceIoError {
     },
     /// The parsed events violated a [`Trace`] invariant.
     Validation(ValidationError),
-    /// JSON (de)serialization failed.
-    Json(String),
     /// The binary format was structurally invalid at a byte offset.
     Corrupt {
         /// Byte offset of the malformed construct.
@@ -68,7 +66,6 @@ impl fmt::Display for TraceIoError {
                 write!(f, "trace parse error at line {line}: {message}")
             }
             TraceIoError::Validation(e) => write!(f, "trace validation failed: {e}"),
-            TraceIoError::Json(e) => write!(f, "trace json error: {e}"),
             TraceIoError::Corrupt { offset, message } => {
                 write!(f, "trace corrupt at byte {offset}: {message}")
             }
@@ -81,9 +78,7 @@ impl Error for TraceIoError {
         match self {
             TraceIoError::Io(e) => Some(e),
             TraceIoError::Validation(e) => Some(e),
-            TraceIoError::Json(_) | TraceIoError::Parse { .. } | TraceIoError::Corrupt { .. } => {
-                None
-            }
+            TraceIoError::Parse { .. } | TraceIoError::Corrupt { .. } => None,
         }
     }
 }
@@ -100,32 +95,23 @@ impl From<ValidationError> for TraceIoError {
     }
 }
 
-impl From<fgcache_types::json::JsonParseError> for TraceIoError {
-    fn from(e: fgcache_types::json::JsonParseError) -> Self {
-        TraceIoError::Json(e.to_string())
-    }
-}
-
 /// Writes `trace` in the line-oriented text format.
 ///
 /// A `&mut` writer can be passed as well, since `Write` is implemented for
 /// mutable references.
 ///
+/// This is an adapter over the streaming
+/// [`TextSink`](crate::stream::TextSink), the format's one encoder.
+///
 /// # Errors
 ///
 /// Returns [`TraceIoError::Io`] if the underlying writer fails.
-pub fn write_text<W: Write>(trace: &Trace, mut w: W) -> Result<(), TraceIoError> {
-    writeln!(w, "# fgcache trace v1: seq client kind file")?;
+pub fn write_text<W: Write>(trace: &Trace, w: W) -> Result<(), TraceIoError> {
+    let mut sink = crate::stream::TextSink::new(w)?;
     for ev in trace.events() {
-        writeln!(
-            w,
-            "{} {} {} {}",
-            ev.seq.as_u64(),
-            ev.client.as_u32(),
-            ev.kind.code(),
-            ev.file.as_u64()
-        )?;
+        sink.push(ev)?;
     }
+    sink.finish()?;
     Ok(())
 }
 
@@ -180,97 +166,6 @@ pub(crate) fn parse_line(line: &str) -> Result<AccessEvent, String> {
         FileId(file),
         kind,
     ))
-}
-
-/// Full variant name used by the JSON format (matches the original serde
-/// derive output, so documents written by earlier versions still load).
-fn kind_name(kind: AccessKind) -> &'static str {
-    match kind {
-        AccessKind::Read => "Read",
-        AccessKind::Write => "Write",
-        AccessKind::Create => "Create",
-        AccessKind::Delete => "Delete",
-    }
-}
-
-fn kind_from_name(name: &str) -> Result<AccessKind, TraceIoError> {
-    match name {
-        "Read" => Ok(AccessKind::Read),
-        "Write" => Ok(AccessKind::Write),
-        "Create" => Ok(AccessKind::Create),
-        "Delete" => Ok(AccessKind::Delete),
-        other => Err(TraceIoError::Json(format!("unknown access kind {other:?}"))),
-    }
-}
-
-/// Serializes `trace` as JSON:
-/// `{"events":[{"seq":…,"client":…,"file":…,"kind":"Read"},…]}`.
-///
-/// # Errors
-///
-/// Returns [`TraceIoError::Io`] on writer failure.
-pub fn write_json<W: Write>(trace: &Trace, mut w: W) -> Result<(), TraceIoError> {
-    let events = trace.events().iter().map(event_to_json).collect();
-    let doc = Json::Obj(vec![("events".to_string(), Json::Arr(events))]);
-    w.write_all(doc.to_text().as_bytes())?;
-    Ok(())
-}
-
-/// The JSON object form of one event — shared by [`write_json`] and the
-/// streaming [`JsonSink`](crate::stream::JsonSink) so their output cannot
-/// diverge.
-pub(crate) fn event_to_json(ev: &AccessEvent) -> Json {
-    Json::Obj(vec![
-        ("seq".to_string(), Json::UInt(ev.seq.as_u64())),
-        ("client".to_string(), Json::UInt(ev.client.as_u32().into())),
-        ("file".to_string(), Json::UInt(ev.file.as_u64())),
-        (
-            "kind".to_string(),
-            Json::Str(kind_name(ev.kind).to_string()),
-        ),
-    ])
-}
-
-/// Decodes one event from its JSON object form (`i` is the 0-based event
-/// index, used only in error messages) — shared by the materialized and
-/// streaming JSON readers.
-pub(crate) fn event_from_json(i: usize, ev: &Json) -> Result<AccessEvent, TraceIoError> {
-    let field = |name: &str| -> Result<u64, TraceIoError> {
-        ev.get(name).and_then(Json::as_u64).ok_or_else(|| {
-            TraceIoError::Json(format!("event {i}: missing or non-integer {name:?}"))
-        })
-    };
-    let seq = field("seq")?;
-    let client = field("client")?;
-    let client = u32::try_from(client)
-        .map_err(|_| TraceIoError::Json(format!("event {i}: client {client} exceeds u32 range")))?;
-    let file = field("file")?;
-    let kind = ev
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or_else(|| TraceIoError::Json(format!("event {i}: missing \"kind\"")))
-        .and_then(kind_from_name)?;
-    Ok(AccessEvent::new(
-        SeqNo(seq),
-        ClientId(client),
-        FileId(file),
-        kind,
-    ))
-}
-
-/// Deserializes a trace from the JSON format written by [`write_json`].
-///
-/// This is a collect-adapter over the streaming
-/// [`JsonEvents`](crate::stream::JsonEvents) reader — see
-/// [`crate::stream`] for the bounded-memory path.
-///
-/// # Errors
-///
-/// Returns [`TraceIoError::Json`] if the input is not a valid trace
-/// document, [`TraceIoError::Validation`] if the events are out of order,
-/// or [`TraceIoError::Io`] on reader failure.
-pub fn read_json<R: Read>(r: R) -> Result<Trace, TraceIoError> {
-    crate::stream::collect_trace(crate::stream::TraceReader::json(r))
 }
 
 /// Magic bytes opening the binary trace format.
@@ -390,23 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip() {
-        let t = Trace::from_files([1, 2, 3]);
-        let mut buf = Vec::new();
-        write_json(&t, &mut buf).unwrap();
-        let back = read_json(buf.as_slice()).unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn json_rejects_garbage() {
-        assert!(matches!(
-            read_json("not json".as_bytes()),
-            Err(TraceIoError::Json(_))
-        ));
-    }
-
-    #[test]
     fn error_display_mentions_line() {
         let err = TraceIoError::Parse {
             line: 7,
@@ -446,7 +324,7 @@ mod tests {
 
     #[test]
     fn binary_rejects_bad_magic() {
-        let err = read_binary(&b"NOTMAGIC        "[..]).unwrap_err();
+        let err = read_binary(&b"NOTMAGIC\x00\x00\x00\x00\x00\x00\x00\x00"[..]).unwrap_err();
         assert!(err.to_string().contains("magic"));
     }
 

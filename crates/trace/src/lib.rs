@@ -8,7 +8,7 @@
 //! * [`Trace`] — an in-memory, validated sequence of
 //!   [`AccessEvent`]s, the unit every simulator
 //!   in the workspace consumes;
-//! * [`io`] — text, JSON and binary formats for traces;
+//! * [`io`] — the text and binary formats for traces;
 //! * [`synth`] — a deterministic synthetic generator whose four
 //!   [`WorkloadProfile`](synth::WorkloadProfile)s mirror the structural
 //!   properties of the paper's four systems (see `DESIGN.md` §4 for the

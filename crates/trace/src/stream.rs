@@ -3,10 +3,10 @@
 //! The materialized readers in [`crate::io`] collect a whole [`Trace`]
 //! into memory, which caps the workloads they can replay at the host's
 //! RAM. This module provides the scale path the ROADMAP's ingestion item
-//! asks for: every format gets an iterator of
+//! asks for: both formats get an iterator of
 //! `Result<AccessEvent, TraceIoError>` whose memory use is **bounded by a
-//! constant** (one line / one record / one JSON event element plus a fixed
-//! scan buffer), so a multi-GB trace replays without a `Vec<AccessEvent>`.
+//! constant** (one line / one record plus a fixed read buffer), so a
+//! multi-GB trace replays without a `Vec<AccessEvent>`.
 //!
 //! Validation is *incremental*: sequence-number monotonicity
 //! ([`SeqValidator`]) and id bounds are checked as each event is decoded,
@@ -19,9 +19,11 @@
 //! `None` forever, so a `for` loop cannot spin on a persistently failing
 //! source.
 //!
-//! Writing is symmetric: [`TextSink`], [`JsonSink`] and [`BinarySink`]
-//! emit events one at a time and produce byte-identical output to the
-//! whole-trace writers in [`crate::io`].
+//! Writing is symmetric: [`TextSink`] and [`BinarySink`] emit events one
+//! at a time. Each format has one encoder: [`crate::io::write_text`] is an
+//! adapter over [`TextSink`], and [`crate::io::write_binary`] shares
+//! [`BinarySink`]'s record writer (the sink alone needs `Seek`, to patch
+//! the record count).
 //!
 //! ```
 //! use fgcache_trace::stream::{collect_trace, TextSink, TraceReader};
@@ -42,12 +44,9 @@
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Seek, SeekFrom, Write};
 
-use fgcache_types::json::{self, Json};
 use fgcache_types::{AccessEvent, AccessKind, ClientId, FileId, SeqNo, ValidationError};
 
-use crate::io::{
-    event_from_json, event_to_json, parse_line, write_binary_record, TraceIoError, BINARY_MAGIC,
-};
+use crate::io::{parse_line, write_binary_record, TraceIoError, BINARY_MAGIC};
 use crate::Trace;
 
 /// Bytes per record of the binary format: `seq u64 + client u32 + kind u8 +
@@ -383,393 +382,10 @@ impl<R: Read> Iterator for BinaryEvents<R> {
 }
 
 // ---------------------------------------------------------------------------
-// JSON
-// ---------------------------------------------------------------------------
-
-/// Fixed chunk size of the JSON pull scanner.
-const SCAN_BUF: usize = 8 * 1024;
-
-/// A minimal buffered byte scanner for the JSON pull parser: `peek`/`bump`
-/// over a fixed-size chunk buffer, tracking the absolute byte offset for
-/// error messages.
-#[derive(Debug)]
-struct ByteScanner<R> {
-    inner: R,
-    buf: Vec<u8>,
-    pos: usize,
-    offset: u64,
-}
-
-impl<R: Read> ByteScanner<R> {
-    fn new(inner: R) -> Self {
-        ByteScanner {
-            inner,
-            buf: Vec::new(),
-            pos: 0,
-            offset: 0,
-        }
-    }
-
-    /// Ensures at least one unread byte is buffered; false at EOF.
-    fn fill(&mut self) -> Result<bool, TraceIoError> {
-        if self.pos < self.buf.len() {
-            return Ok(true);
-        }
-        self.pos = 0;
-        self.buf.resize(SCAN_BUF, 0);
-        loop {
-            match self.inner.read(&mut self.buf) {
-                Ok(0) => {
-                    self.buf.clear();
-                    return Ok(false);
-                }
-                Ok(n) => {
-                    self.buf.truncate(n);
-                    return Ok(true);
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    self.buf.clear();
-                    return Err(TraceIoError::Io(e));
-                }
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Result<Option<u8>, TraceIoError> {
-        if self.fill()? {
-            Ok(Some(self.buf[self.pos]))
-        } else {
-            Ok(None)
-        }
-    }
-
-    fn bump(&mut self) -> Result<Option<u8>, TraceIoError> {
-        if self.fill()? {
-            let b = self.buf[self.pos];
-            self.pos += 1;
-            self.offset += 1;
-            Ok(Some(b))
-        } else {
-            Ok(None)
-        }
-    }
-
-    fn skip_ws(&mut self) -> Result<(), TraceIoError> {
-        while let Some(b) = self.peek()? {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.bump()?;
-            } else {
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    /// Error message in the same shape as
-    /// [`fgcache_types::json::JsonParseError`]'s display.
-    fn err_at(offset: u64, message: impl Into<String>) -> TraceIoError {
-        TraceIoError::Json(format!("invalid JSON at byte {offset}: {}", message.into()))
-    }
-
-    fn err_here(&self, message: impl Into<String>) -> TraceIoError {
-        Self::err_at(self.offset, message)
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), TraceIoError> {
-        match self.bump()? {
-            Some(b) if b == want => Ok(()),
-            Some(b) => Err(Self::err_at(
-                self.offset - 1,
-                format!("expected {:?}, found {:?}", want as char, b as char),
-            )),
-            None => Err(self.err_here(format!("expected {:?}, found end of input", want as char))),
-        }
-    }
-
-    /// Consumes one byte; appends it to `out` when capturing.
-    fn take(&mut self, out: &mut Vec<u8>, capture: bool) -> Result<(), TraceIoError> {
-        if let Some(b) = self.bump()? {
-            if capture {
-                out.push(b);
-            }
-        }
-        Ok(())
-    }
-
-    /// Consumes a JSON string (the caller has peeked the opening quote),
-    /// escape-aware but without decoding.
-    fn consume_string(&mut self, out: &mut Vec<u8>, capture: bool) -> Result<(), TraceIoError> {
-        self.take(out, capture)?; // opening quote
-        loop {
-            let Some(b) = self.bump()? else {
-                return Err(self.err_here("unterminated string"));
-            };
-            if capture {
-                out.push(b);
-            }
-            match b {
-                b'"' => return Ok(()),
-                b'\\' => {
-                    let Some(esc) = self.bump()? else {
-                        return Err(self.err_here("unterminated string escape"));
-                    };
-                    if capture {
-                        out.push(esc);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// Consumes one JSON value *structurally*: strings are escape-aware,
-    /// containers are balanced (up to [`json::MAX_DEPTH`]), scalars run to
-    /// the next delimiter. With `capture`, the raw bytes land in `out` for
-    /// a precise re-parse by [`Json::parse`]; without, nothing is buffered
-    /// (skipped foreign values cost zero memory).
-    fn consume_value(&mut self, out: &mut Vec<u8>, capture: bool) -> Result<(), TraceIoError> {
-        self.skip_ws()?;
-        let Some(first) = self.peek()? else {
-            return Err(self.err_here("expected a value, found end of input"));
-        };
-        match first {
-            b'"' => self.consume_string(out, capture),
-            b'{' | b'[' => {
-                let mut depth = 0usize;
-                loop {
-                    let Some(b) = self.peek()? else {
-                        return Err(self.err_here("unterminated container"));
-                    };
-                    match b {
-                        b'"' => self.consume_string(out, capture)?,
-                        b'{' | b'[' => {
-                            depth += 1;
-                            if depth > json::MAX_DEPTH {
-                                return Err(self.err_here(format!(
-                                    "nesting deeper than {} levels",
-                                    json::MAX_DEPTH
-                                )));
-                            }
-                            self.take(out, capture)?;
-                        }
-                        b'}' | b']' => {
-                            self.take(out, capture)?;
-                            depth -= 1;
-                            if depth == 0 {
-                                return Ok(());
-                            }
-                        }
-                        _ => self.take(out, capture)?,
-                    }
-                }
-            }
-            _ => {
-                // Bare scalar: number / true / false / null.
-                while let Some(b) = self.peek()? {
-                    if matches!(b, b',' | b'}' | b']') || b.is_ascii_whitespace() {
-                        break;
-                    }
-                    self.take(out, capture)?;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Reads an object key into `scratch` (raw, quotes included) and
-    /// reports whether it is the literal key `"events"`.
-    fn read_key(&mut self, scratch: &mut Vec<u8>) -> Result<bool, TraceIoError> {
-        self.skip_ws()?;
-        match self.peek()? {
-            Some(b'"') => {}
-            Some(b) => {
-                return Err(self.err_here(format!("expected an object key, found {:?}", b as char)))
-            }
-            None => return Err(self.err_here("expected an object key, found end of input")),
-        }
-        scratch.clear();
-        self.consume_string(scratch, true)?;
-        Ok(scratch.as_slice() == b"\"events\"")
-    }
-}
-
-/// Streaming reader for the JSON format written by
-/// [`crate::io::write_json`].
-///
-/// The document is scanned as a byte stream: only one event element is
-/// buffered at a time (plus a fixed chunk buffer), so arbitrarily long
-/// `"events"` arrays parse in constant memory. Each element is re-parsed
-/// with the strict [`Json`] parser, so per-event validation is identical
-/// to the materialized reader. Keys other than `"events"` are skipped
-/// structurally without buffering; the top-level key must be spelled
-/// literally `"events"` (escaped spellings are not recognised). Truncated
-/// documents and trailing garbage after the closing `}` are errors.
-#[derive(Debug)]
-pub struct JsonEvents<R> {
-    scanner: ByteScanner<R>,
-    scratch: Vec<u8>,
-    index: usize,
-    validator: SeqValidator,
-    started: bool,
-    first: bool,
-    done: bool,
-}
-
-impl<R: Read> JsonEvents<R> {
-    /// Wraps a reader positioned at the start of the JSON document.
-    pub fn new(reader: R) -> Self {
-        JsonEvents {
-            scanner: ByteScanner::new(reader),
-            scratch: Vec::new(),
-            index: 0,
-            validator: SeqValidator::new(),
-            started: false,
-            first: true,
-            done: false,
-        }
-    }
-
-    /// Parses the document prologue up to and including the `[` of the
-    /// `"events"` array, skipping any earlier foreign keys.
-    fn open_events_array(&mut self) -> Result<(), TraceIoError> {
-        self.scanner.skip_ws()?;
-        self.scanner.expect(b'{')?;
-        loop {
-            self.scanner.skip_ws()?;
-            if self.scanner.peek()? == Some(b'}') {
-                return Err(TraceIoError::Json("missing \"events\" array".to_string()));
-            }
-            let is_events = self.scanner.read_key(&mut self.scratch)?;
-            self.scanner.skip_ws()?;
-            self.scanner.expect(b':')?;
-            if is_events {
-                self.scanner.skip_ws()?;
-                self.scanner.expect(b'[')?;
-                return Ok(());
-            }
-            self.scratch.clear();
-            self.scanner.consume_value(&mut self.scratch, false)?;
-            self.scanner.skip_ws()?;
-            match self.scanner.peek()? {
-                Some(b',') => {
-                    self.scanner.bump()?;
-                }
-                Some(b'}') => {
-                    return Err(TraceIoError::Json("missing \"events\" array".to_string()));
-                }
-                Some(b) => {
-                    return Err(self.scanner.err_here(format!(
-                        "expected ',' or '}}' in object, found {:?}",
-                        b as char
-                    )))
-                }
-                None => return Err(self.scanner.err_here("unterminated object")),
-            }
-        }
-    }
-
-    /// Parses everything after the events array's `]`: remaining foreign
-    /// keys, the closing `}`, and end of input (garbage suffixes error).
-    fn close_document(&mut self) -> Result<(), TraceIoError> {
-        loop {
-            self.scanner.skip_ws()?;
-            match self.scanner.bump()? {
-                Some(b',') => {
-                    let _ = self.scanner.read_key(&mut self.scratch)?;
-                    self.scanner.skip_ws()?;
-                    self.scanner.expect(b':')?;
-                    self.scratch.clear();
-                    self.scanner.consume_value(&mut self.scratch, false)?;
-                }
-                Some(b'}') => break,
-                Some(b) => {
-                    return Err(ByteScanner::<R>::err_at(
-                        self.scanner.offset - 1,
-                        format!(
-                            "expected ',' or '}}' after events array, found {:?}",
-                            b as char
-                        ),
-                    ))
-                }
-                None => return Err(self.scanner.err_here("unterminated document")),
-            }
-        }
-        self.scanner.skip_ws()?;
-        if self.scanner.peek()?.is_some() {
-            return Err(self.scanner.err_here("trailing characters after document"));
-        }
-        Ok(())
-    }
-
-    fn advance(&mut self) -> Result<Option<AccessEvent>, TraceIoError> {
-        if !self.started {
-            self.open_events_array()?;
-            self.started = true;
-        }
-        self.scanner.skip_ws()?;
-        if self.first {
-            if self.scanner.peek()? == Some(b']') {
-                self.scanner.bump()?;
-                self.close_document()?;
-                return Ok(None);
-            }
-        } else {
-            match self.scanner.bump()? {
-                Some(b',') => {}
-                Some(b']') => {
-                    self.close_document()?;
-                    return Ok(None);
-                }
-                Some(b) => {
-                    return Err(ByteScanner::<R>::err_at(
-                        self.scanner.offset - 1,
-                        format!("expected ',' or ']' in events array, found {:?}", b as char),
-                    ))
-                }
-                None => return Err(self.scanner.err_here("unterminated events array")),
-            }
-        }
-        self.scratch.clear();
-        self.scanner.consume_value(&mut self.scratch, true)?;
-        let text = std::str::from_utf8(&self.scratch)
-            .map_err(|_| TraceIoError::Json(format!("event {}: invalid UTF-8", self.index)))?;
-        let value = Json::parse(text)
-            .map_err(|e| TraceIoError::Json(format!("event {}: {e}", self.index)))?;
-        let ev = event_from_json(self.index, &value)?;
-        self.validator.check(&ev)?;
-        self.index += 1;
-        self.first = false;
-        Ok(Some(ev))
-    }
-}
-
-impl<R: Read> Iterator for JsonEvents<R> {
-    type Item = Result<AccessEvent, TraceIoError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        match self.advance() {
-            Ok(Some(ev)) => Some(Ok(ev)),
-            Ok(None) => {
-                self.done = true;
-                None
-            }
-            Err(e) => {
-                self.done = true;
-                Some(Err(e))
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Format dispatch
 // ---------------------------------------------------------------------------
 
-/// A streaming trace reader over any of the three on-disk formats.
+/// A streaming trace reader over either on-disk format.
 ///
 /// One enum so callers (the CLI, the sim drivers) can hold "some trace
 /// stream" without a generic parameter per format.
@@ -777,8 +393,6 @@ impl<R: Read> Iterator for JsonEvents<R> {
 pub enum TraceReader<R: Read> {
     /// Line-oriented text format.
     Text(TextEvents<BufReader<R>>),
-    /// JSON `{"events":[…]}` format.
-    Json(JsonEvents<R>),
     /// Fixed-width binary format.
     Binary(BinaryEvents<BufReader<R>>),
 }
@@ -787,11 +401,6 @@ impl<R: Read> TraceReader<R> {
     /// Streams the text format.
     pub fn text(reader: R) -> Self {
         TraceReader::Text(TextEvents::new(BufReader::new(reader)))
-    }
-
-    /// Streams the JSON format.
-    pub fn json(reader: R) -> Self {
-        TraceReader::Json(JsonEvents::new(reader))
     }
 
     /// Streams the binary format.
@@ -812,7 +421,6 @@ impl<R: Read> Iterator for TraceReader<R> {
     fn next(&mut self) -> Option<Self::Item> {
         match self {
             TraceReader::Text(r) => r.next(),
-            TraceReader::Json(r) => r.next(),
             TraceReader::Binary(r) => r.next(),
         }
     }
@@ -822,8 +430,8 @@ impl<R: Read> Iterator for TraceReader<R> {
 // Sinks
 // ---------------------------------------------------------------------------
 
-/// Incremental writer of the text format; byte-identical to
-/// [`crate::io::write_text`] over the same events.
+/// Incremental writer of the text format — the format's one encoder:
+/// [`crate::io::write_text`] is an adapter over it.
 #[derive(Debug)]
 pub struct TextSink<W: Write> {
     w: W,
@@ -869,62 +477,6 @@ impl<W: Write> TextSink<W> {
     ///
     /// Returns [`TraceIoError::Io`] on flush failure.
     pub fn finish(mut self) -> Result<W, TraceIoError> {
-        self.w.flush()?;
-        Ok(self.w)
-    }
-}
-
-/// Incremental writer of the JSON format; byte-identical to
-/// [`crate::io::write_json`] over the same events.
-#[derive(Debug)]
-pub struct JsonSink<W: Write> {
-    w: W,
-    buf: String,
-    count: u64,
-    validator: SeqValidator,
-}
-
-impl<W: Write> JsonSink<W> {
-    /// Writes the document prologue and returns the sink.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceIoError::Io`] on writer failure.
-    pub fn new(mut w: W) -> Result<Self, TraceIoError> {
-        w.write_all(b"{\"events\":[")?;
-        Ok(JsonSink {
-            w,
-            buf: String::new(),
-            count: 0,
-            validator: SeqValidator::new(),
-        })
-    }
-
-    /// Appends one event.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceIoError::Validation`] if `ev` breaks sequence-number
-    /// monotonicity, or [`TraceIoError::Io`] on writer failure.
-    pub fn push(&mut self, ev: &AccessEvent) -> Result<(), TraceIoError> {
-        self.validator.check(ev)?;
-        self.buf.clear();
-        if self.count > 0 {
-            self.buf.push(',');
-        }
-        event_to_json(ev).write(&mut self.buf);
-        self.w.write_all(self.buf.as_bytes())?;
-        self.count += 1;
-        Ok(())
-    }
-
-    /// Writes the document epilogue, flushes, and returns the writer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceIoError::Io`] on writer failure.
-    pub fn finish(mut self) -> Result<W, TraceIoError> {
-        self.w.write_all(b"]}")?;
         self.w.flush()?;
         Ok(self.w)
     }
@@ -987,15 +539,13 @@ impl<W: Write + Seek> BinarySink<W> {
     }
 }
 
-/// An incremental sink over any of the three formats — the writing twin
-/// of [`TraceReader`], used by `fgcache convert` to pick the output
-/// format at runtime.
+/// An incremental sink over either format — the writing twin of
+/// [`TraceReader`], used by `fgcache gen` and `fgcache convert` to pick
+/// the output format at runtime.
 #[derive(Debug)]
 pub enum TraceSink<W: Write + Seek> {
     /// Line-oriented text format.
     Text(TextSink<W>),
-    /// JSON `{"events":[…]}` format.
-    Json(JsonSink<W>),
     /// Fixed-width binary format.
     Binary(BinarySink<W>),
 }
@@ -1008,15 +558,6 @@ impl<W: Write + Seek> TraceSink<W> {
     /// Returns [`TraceIoError::Io`] on writer failure.
     pub fn text(w: W) -> Result<Self, TraceIoError> {
         Ok(TraceSink::Text(TextSink::new(w)?))
-    }
-
-    /// JSON-format sink.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceIoError::Io`] on writer failure.
-    pub fn json(w: W) -> Result<Self, TraceIoError> {
-        Ok(TraceSink::Json(JsonSink::new(w)?))
     }
 
     /// Binary-format sink.
@@ -1037,7 +578,6 @@ impl<W: Write + Seek> TraceSink<W> {
     pub fn push(&mut self, ev: &AccessEvent) -> Result<(), TraceIoError> {
         match self {
             TraceSink::Text(s) => s.push(ev),
-            TraceSink::Json(s) => s.push(ev),
             TraceSink::Binary(s) => s.push(ev),
         }
     }
@@ -1050,7 +590,6 @@ impl<W: Write + Seek> TraceSink<W> {
     pub fn finish(self) -> Result<W, TraceIoError> {
         match self {
             TraceSink::Text(s) => s.finish(),
-            TraceSink::Json(s) => s.finish(),
             TraceSink::Binary(s) => s.finish(),
         }
     }
@@ -1088,15 +627,6 @@ mod tests {
         let mut buf = Vec::new();
         io::write_text(&t, &mut buf).unwrap();
         let back = collect_trace(TraceReader::text(buf.as_slice())).unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn json_stream_roundtrip() {
-        let t = sample();
-        let mut buf = Vec::new();
-        io::write_json(&t, &mut buf).unwrap();
-        let back = collect_trace(TraceReader::json(buf.as_slice())).unwrap();
         assert_eq!(back, t);
     }
 
@@ -1202,76 +732,19 @@ mod tests {
     }
 
     #[test]
-    fn json_stream_rejects_truncation_and_garbage_suffix() {
-        let t = Trace::from_files([1, 2, 3]);
-        let mut buf = Vec::new();
-        io::write_json(&t, &mut buf).unwrap();
-        // Truncate inside the events array.
-        let cut = buf.len() - 10;
-        let err = collect_trace(TraceReader::json(&buf[..cut])).unwrap_err();
-        assert!(matches!(err, TraceIoError::Json(_)), "{err:?}");
-        // Garbage after the closing brace.
-        let mut noisy = buf.clone();
-        noisy.extend_from_slice(b" xyz");
-        let err = collect_trace(TraceReader::json(noisy.as_slice())).unwrap_err();
-        assert!(err.to_string().contains("trailing"), "{err}");
-    }
-
-    #[test]
-    fn json_stream_skips_foreign_keys_without_buffering_them() {
-        let doc = br#"{"meta":{"tool":"x","n":[1,[2,3]]},"events":[{"seq":0,"client":1,"file":9,"kind":"Read"}],"after":"ok"}"#;
-        let t = collect_trace(TraceReader::json(&doc[..])).unwrap();
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.events()[0].file, FileId(9));
-        assert_eq!(t.events()[0].client, ClientId(1));
-    }
-
-    #[test]
-    fn json_stream_requires_events_key() {
-        let err = collect_trace(TraceReader::json(&br#"{"other":1}"#[..])).unwrap_err();
-        assert!(err.to_string().contains("events"), "{err}");
-        let err = collect_trace(TraceReader::json(&b"{}"[..])).unwrap_err();
-        assert!(err.to_string().contains("events"), "{err}");
-    }
-
-    #[test]
-    fn json_stream_depth_limit_holds() {
-        let mut doc = b"{\"pad\":".to_vec();
-        doc.extend(std::iter::repeat_n(b'[', 100_000));
-        let err = collect_trace(TraceReader::json(doc.as_slice())).unwrap_err();
-        assert!(err.to_string().contains("nesting"), "{err}");
-    }
-
-    #[test]
-    fn sinks_match_materialized_writers_byte_for_byte() {
+    fn binary_sink_matches_materialized_writer_byte_for_byte() {
         let t = sample();
-        let mut text_whole = Vec::new();
-        io::write_text(&t, &mut text_whole).unwrap();
-        let mut json_whole = Vec::new();
-        io::write_json(&t, &mut json_whole).unwrap();
-        let mut bin_whole = Vec::new();
-        io::write_binary(&t, &mut bin_whole).unwrap();
-
-        let mut text_sink = TextSink::new(Vec::new()).unwrap();
-        let mut json_sink = JsonSink::new(Vec::new()).unwrap();
-        let mut bin_sink = BinarySink::new(Cursor::new(Vec::new())).unwrap();
+        let mut whole = Vec::new();
+        io::write_binary(&t, &mut whole).unwrap();
+        let mut sink = BinarySink::new(Cursor::new(Vec::new())).unwrap();
         for ev in t.events() {
-            text_sink.push(ev).unwrap();
-            json_sink.push(ev).unwrap();
-            bin_sink.push(ev).unwrap();
+            sink.push(ev).unwrap();
         }
-        assert_eq!(text_sink.finish().unwrap(), text_whole);
-        assert_eq!(json_sink.finish().unwrap(), json_whole);
-        assert_eq!(bin_sink.finish().unwrap().into_inner(), bin_whole);
+        assert_eq!(sink.finish().unwrap().into_inner(), whole);
     }
 
     #[test]
     fn empty_trace_through_sinks_and_streams() {
-        let json = JsonSink::new(Vec::new()).unwrap().finish().unwrap();
-        assert_eq!(json, b"{\"events\":[]}");
-        assert!(collect_trace(TraceReader::json(json.as_slice()))
-            .unwrap()
-            .is_empty());
         let bin = BinarySink::new(Cursor::new(Vec::new()))
             .unwrap()
             .finish()
@@ -1299,16 +772,15 @@ mod tests {
     #[test]
     fn trace_sink_dispatch_roundtrips() {
         let t = sample();
-        for make in [TraceSink::text, TraceSink::json, TraceSink::binary] {
+        for make in [TraceSink::text, TraceSink::binary] {
             let mut sink = make(Cursor::new(Vec::new())).unwrap();
             for ev in t.events() {
                 sink.push(ev).unwrap();
             }
             let bytes = sink.finish().unwrap().into_inner();
-            // Detect format by first byte: '#' text, '{' json, 'F' binary.
+            // Detect format by first byte: '#' text, 'F' binary.
             let back = match bytes[0] {
                 b'#' => collect_trace(TraceReader::text(bytes.as_slice())),
-                b'{' => collect_trace(TraceReader::json(bytes.as_slice())),
                 _ => collect_trace(TraceReader::binary(bytes.as_slice())),
             }
             .unwrap();

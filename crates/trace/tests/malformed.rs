@@ -3,10 +3,10 @@
 //!
 //! Two layers:
 //!
-//! * a **static corpus** of known-bad inputs per format, each of which
-//!   must produce a clean `Err` (never a panic) from both the
-//!   materialized readers (`io::read_*`) and the streaming readers
-//!   ([`TraceReader`]);
+//! * a **static corpus** of known-bad inputs for each of the two formats,
+//!   text and binary, each of which must produce a clean `Err` (never a
+//!   panic) from both the materialized readers (`io::read_*`) and the
+//!   streaming readers ([`TraceReader`]);
 //! * a **seeded mutation sweep**: valid traces are serialized, then
 //!   truncated at every byte and corrupted by deterministic byte flips.
 //!   A mutation may still parse (flipping a digit yields a different but
@@ -51,7 +51,6 @@ fn seeds() -> Vec<u64> {
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Format {
     Text,
-    Json,
     Binary,
 }
 
@@ -59,7 +58,6 @@ enum Format {
 fn read_materialized(fmt: Format, bytes: &[u8]) -> Result<Trace, io::TraceIoError> {
     match fmt {
         Format::Text => io::read_text(bytes),
-        Format::Json => io::read_json(bytes),
         Format::Binary => io::read_binary(bytes),
     }
 }
@@ -69,7 +67,6 @@ fn read_materialized(fmt: Format, bytes: &[u8]) -> Result<Trace, io::TraceIoErro
 fn read_streaming(fmt: Format, bytes: &[u8]) -> Result<Trace, io::TraceIoError> {
     collect_trace(match fmt {
         Format::Text => TraceReader::text(bytes),
-        Format::Json => TraceReader::json(bytes),
         Format::Binary => TraceReader::binary_with_len(bytes, bytes.len() as u64),
     })
 }
@@ -86,7 +83,6 @@ fn assert_readers_agree(fmt: Format, bytes: &[u8], context: &str) {
             let mut reader: Box<dyn Iterator<Item = Result<AccessEvent, io::TraceIoError>>> =
                 match fmt {
                     Format::Text => Box::new(TraceReader::text(bytes)),
-                    Format::Json => Box::new(TraceReader::json(bytes)),
                     Format::Binary => {
                         Box::new(TraceReader::binary_with_len(bytes, bytes.len() as u64))
                     }
@@ -125,19 +121,6 @@ fn static_corpus_is_rejected_cleanly() {
         b"5 0 R 1\n5 0 R 2",           // duplicate seq
         b"\xff\xfe invalid utf8 \x80", // invalid UTF-8
     ];
-    let json_corpus: &[&[u8]] = &[
-        b"",                                                                   // empty input
-        b"{",                                                                  // truncated document
-        b"[]",                         // wrong top-level type
-        b"{\"events\":}",              // missing value
-        b"{\"events\":[}",             // bad array
-        b"{\"events\":[{]}",           // bad object
-        b"{\"events\":[{\"seq\":0}]}", // missing fields
-        b"{\"events\":[{\"seq\":0,\"client\":0,\"file\":1,\"kind\":\"Q\"}]}", // bad kind
-        b"{\"events\":[]} trailing garbage", // garbage suffix
-        b"{\"noevents\":[]}",          // missing events key
-        b"{\"events\":[{\"seq\":0,\"client\":0,\"file\":1,\"kind\":\"Read\"}", // truncated
-    ];
     let binary_corpus: &[&[u8]] = &[
         b"",                                         // empty input
         b"FGTRACE",                                  // truncated magic
@@ -150,11 +133,7 @@ fn static_corpus_is_rejected_cleanly() {
         // Count 0 followed by trailing bytes.
         b"FGTRACE1\x00\x00\x00\x00\x00\x00\x00\x00junk",
     ];
-    for (fmt, corpus) in [
-        (Format::Text, text_corpus),
-        (Format::Json, json_corpus),
-        (Format::Binary, binary_corpus),
-    ] {
+    for (fmt, corpus) in [(Format::Text, text_corpus), (Format::Binary, binary_corpus)] {
         for (i, bytes) in corpus.iter().enumerate() {
             assert!(
                 read_materialized(fmt, bytes).is_err(),
@@ -184,7 +163,6 @@ fn encode(fmt: Format, trace: &Trace) -> Vec<u8> {
     let mut buf = Vec::new();
     match fmt {
         Format::Text => io::write_text(trace, &mut buf).expect("write_text"),
-        Format::Json => io::write_json(trace, &mut buf).expect("write_json"),
         Format::Binary => io::write_binary(trace, &mut buf).expect("write_binary"),
     }
     buf
@@ -194,7 +172,7 @@ fn encode(fmt: Format, trace: &Trace) -> Vec<u8> {
 fn truncation_at_every_byte_never_panics_and_readers_agree() {
     for seed in seeds() {
         let mut rng = SeededRng::new(seed);
-        for fmt in [Format::Text, Format::Json, Format::Binary] {
+        for fmt in [Format::Text, Format::Binary] {
             let bytes = encode(fmt, &random_trace(&mut rng));
             for cut in 0..bytes.len() {
                 assert_readers_agree(fmt, &bytes[..cut], &format!("seed {seed}, cut {cut}"));
@@ -207,7 +185,7 @@ fn truncation_at_every_byte_never_panics_and_readers_agree() {
 fn byte_flips_never_panic_and_readers_agree() {
     for seed in seeds() {
         let mut rng = SeededRng::new(seed);
-        for fmt in [Format::Text, Format::Json, Format::Binary] {
+        for fmt in [Format::Text, Format::Binary] {
             let bytes = encode(fmt, &random_trace(&mut rng));
             if bytes.is_empty() {
                 continue;

@@ -63,20 +63,6 @@ fn binary_io_roundtrips() {
 }
 
 #[test]
-fn json_io_roundtrips() {
-    for seed in SEEDS {
-        let mut rng = SeededRng::new(seed);
-        for _ in 0..16 {
-            let trace = Trace::new(random_events(&mut rng)).unwrap();
-            let mut buf = Vec::new();
-            io::write_json(&trace, &mut buf).unwrap();
-            let back = io::read_json(buf.as_slice()).unwrap();
-            assert_eq!(back, trace, "json roundtrip failed for seed {seed}");
-        }
-    }
-}
-
-#[test]
 fn streaming_readers_match_materialized_readers() {
     for seed in SEEDS {
         let mut rng = SeededRng::new(seed);
@@ -89,13 +75,6 @@ fn streaming_readers_match_materialized_readers() {
                 .map(|r| r.unwrap())
                 .collect();
             assert_eq!(streamed, trace.events(), "text stream, seed {seed}");
-
-            let mut json = Vec::new();
-            io::write_json(&trace, &mut json).unwrap();
-            let streamed: Vec<AccessEvent> = TraceReader::json(json.as_slice())
-                .map(|r| r.unwrap())
-                .collect();
-            assert_eq!(streamed, trace.events(), "json stream, seed {seed}");
 
             let mut bin = Vec::new();
             io::write_binary(&trace, &mut bin).unwrap();
@@ -124,10 +103,6 @@ fn streaming_sinks_roundtrip_through_streaming_readers() {
             let text = make(TraceSink::text(std::io::Cursor::new(Vec::new())).unwrap());
             let back = collect_trace(TraceReader::text(text.as_slice())).unwrap();
             assert_eq!(back, trace, "text sink roundtrip, seed {seed}");
-
-            let json = make(TraceSink::json(std::io::Cursor::new(Vec::new())).unwrap());
-            let back = collect_trace(TraceReader::json(json.as_slice())).unwrap();
-            assert_eq!(back, trace, "json sink roundtrip, seed {seed}");
 
             let bin = make(TraceSink::binary(std::io::Cursor::new(Vec::new())).unwrap());
             let back = collect_trace(TraceReader::binary_with_len(

@@ -1,8 +1,8 @@
 //! Minimal hand-rolled JSON tree, emitter and parser.
 //!
-//! The workspace is hermetic (std-only), so the JSON trace format in
-//! `fgcache-trace` and the report emitter in `fgcache-sim` use this module
-//! instead of `serde_json`. It implements the subset of RFC 8259 the
+//! The workspace is hermetic (std-only), so the report emitter in
+//! `fgcache-sim` and `fgcache plan --json` use this module instead of
+//! `serde_json`. It implements the subset of RFC 8259 the
 //! workspace needs — which is all of the grammar, with two deliberate
 //! simplifications:
 //!
@@ -54,8 +54,8 @@ pub enum Json {
 /// hostile document — ten thousand opening brackets — would otherwise
 /// chew through the real stack before failing. The depth counter turns
 /// that into a clean [`JsonParseError`] after 128 levels, far beyond
-/// anything the workspace's formats nest (trace documents use 3).
-pub const MAX_DEPTH: usize = 128;
+/// anything the workspace's reports nest.
+const MAX_DEPTH: usize = 128;
 
 /// Error produced when [`Json::parse`] rejects malformed input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,7 +130,7 @@ impl Json {
     }
 
     /// Appends the compact JSON serialisation of `self` to `out`.
-    pub fn write(&self, out: &mut String) {
+    fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),

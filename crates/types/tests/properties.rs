@@ -84,8 +84,8 @@ fn kind_rejects_non_codes() {
 
 #[test]
 fn event_json_roundtrips() {
-    // AccessEvent's JSON shape is owned by fgcache-trace now, but the
-    // underlying tree encode/decode must preserve every field value.
+    // An event-shaped object: the tree encode/decode must preserve every
+    // field value, integers across the full u64 range.
     let mut rng = rng_for("event_json_roundtrips");
     for _ in 0..CASES {
         let ev = AccessEvent::new(
@@ -142,8 +142,8 @@ fn displays_are_never_empty() {
 
 #[test]
 fn json_numbers_roundtrip_as_bare_literals() {
-    // FileId/SeqNo serialize as bare numbers in the trace JSON format;
-    // the JSON layer must keep full u64 range exact (format stability).
+    // Ids and counts serialize as bare numbers; the JSON layer must keep
+    // the full u64 range exact (format stability).
     let mut rng = rng_for("json_numbers_roundtrip_as_bare_literals");
     for _ in 0..CASES {
         let raw = rng.next_u64();

@@ -31,13 +31,17 @@
 //!    stay deterministic and the wire protocol has one implementation.
 //!    In particular `fgcache-cluster` proxies to peers via injected
 //!    transports and never dials sockets itself.
+//! 6. **No raw control bytes** — no byte below 0x20 other than tab, LF
+//!    and CR in any `src/` file. A literal NUL makes `grep`/`rg` report
+//!    the whole file as binary and hide every match in it; string
+//!    literals spell such bytes as escapes (`\x00`).
 //!
 //! `fuzz` runs the differential fuzzers — the aggregating-cache
 //! directory suite, the sharded-composition suite, the policy/two-level
-//! suite and the trace malformed-input suite — over a bounded
-//! deterministic seed set (exported as `FGCACHE_FUZZ_SEEDS`), so CI
-//! exercises more seeds than the in-repo defaults without ever becoming
-//! flaky.
+//! suite and the trace malformed-input suite (the text and binary
+//! readers) — over a bounded deterministic seed set (exported as
+//! `FGCACHE_FUZZ_SEEDS`), so CI exercises more seeds than the in-repo
+//! defaults without ever becoming flaky.
 //!
 //! `analyze` is the concurrency-discipline gate, companion to the
 //! deterministic interleaving explorer in `fgcache_types::sync::model`
@@ -148,11 +152,12 @@ fn lint(root: &Path) -> ExitCode {
     check_panic_free_sources(&members, &mut violations);
     check_lock_discipline(&members, &mut violations);
     check_socket_confinement(&members, &mut violations);
+    check_control_bytes(&members, &mut violations);
 
     if violations.is_empty() {
         println!(
             "xtask lint: {} crates clean (allowlist, attributes, unsafe confinement, \
-             panic-free sources, lock discipline, socket confinement)",
+             panic-free sources, lock discipline, socket confinement, control bytes)",
             members.len()
         );
         ExitCode::SUCCESS
@@ -174,9 +179,9 @@ const FUZZ_SEEDS: &str = "0xfeedface,0xbadc0ffe,1,42,20020702";
 /// Runs the differential fuzzers over [`FUZZ_SEEDS`]: the aggregating
 /// cache's directory suite (against the `LruCache` + `SuccessorTable`
 /// composition it replaced), the sharded aggregating-cache composition
-/// suite and the trace malformed-input suite (all three read
-/// `FGCACHE_FUZZ_SEEDS`), plus the policy + two-level suite (fixed
-/// internal seeds).
+/// suite and the trace malformed-input suite over the text and binary
+/// readers (all three read `FGCACHE_FUZZ_SEEDS`), plus the policy +
+/// two-level suite (fixed internal seeds).
 fn fuzz(root: &Path) -> ExitCode {
     fuzz_with_seeds(root, FUZZ_SEEDS)
 }
@@ -673,6 +678,35 @@ fn scan_socket_use(file: &Path, text: &str, violations: &mut Vec<Violation>) {
     }
 }
 
+/// Check 6: no raw control bytes in any `src/` file.
+fn check_control_bytes(members: &[Member], violations: &mut Vec<Violation>) {
+    for member in members {
+        for file in rust_sources(&member.src_dir) {
+            let Ok(bytes) = fs::read(&file) else {
+                continue;
+            };
+            scan_control_bytes(&file, &bytes, violations);
+        }
+    }
+}
+
+/// Flags each line of one source file that holds a byte below 0x20 other
+/// than tab or CR (LF ends the line).
+fn scan_control_bytes(file: &Path, bytes: &[u8], violations: &mut Vec<Violation>) {
+    for (idx, line) in bytes.split(|&b| b == b'\n').enumerate() {
+        if let Some(&b) = line.iter().find(|&&b| b < 0x20 && b != b'\t' && b != b'\r') {
+            violations.push(Violation {
+                file: file.to_path_buf(),
+                line: Some(idx + 1),
+                message: format!(
+                    "raw control byte 0x{b:02x} — write it as an escape (`\\x{b:02x}`); \
+                     text tools treat a file holding it as binary"
+                ),
+            });
+        }
+    }
+}
+
 /// Runs the concurrency-discipline passes; prints violations and
 /// returns the exit code. See the crate docs for the rule list.
 fn analyze(root: &Path) -> ExitCode {
@@ -1053,8 +1087,19 @@ mod tests {\n\
         check_panic_free_sources(&members, &mut violations);
         check_lock_discipline(&members, &mut violations);
         check_socket_confinement(&members, &mut violations);
+        check_control_bytes(&members, &mut violations);
         let rendered: Vec<String> = violations.iter().map(Violation::to_string).collect();
         assert!(rendered.is_empty(), "violations: {rendered:#?}");
+    }
+
+    #[test]
+    fn control_byte_scan_flags_raw_bytes_but_not_escapes() {
+        let src = b"let t = \"a\tb\";\r\nlet e = b\"\\x00\";\nlet n = b\"\x00\";\n";
+        let mut v = Vec::new();
+        scan_control_bytes(Path::new("x.rs"), src, &mut v);
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].line, Some(3));
+        assert!(v[0].message.contains("0x00"), "{}", v[0].message);
     }
 
     /// A stand-in for the FFI file: one declaration, one justified call.

@@ -27,11 +27,11 @@ fn persist_reload_and_simulate_identically() {
     io::write_text(&trace, &mut text).unwrap();
     let from_text = io::read_text(text.as_slice()).unwrap();
     assert_eq!(from_text, trace);
-    // JSON round-trip.
-    let mut json = Vec::new();
-    io::write_json(&trace, &mut json).unwrap();
-    let from_json = io::read_json(json.as_slice()).unwrap();
-    assert_eq!(from_json, trace);
+    // Binary round-trip.
+    let mut bin = Vec::new();
+    io::write_binary(&trace, &mut bin).unwrap();
+    let from_bin = io::read_binary(bin.as_slice()).unwrap();
+    assert_eq!(from_bin, trace);
     // Simulation over the reloaded trace is identical to the original.
     let run = |t: &Trace| {
         let mut agg = AggregatingCacheBuilder::new(200)
@@ -44,7 +44,7 @@ fn persist_reload_and_simulate_identically() {
         (agg.demand_fetches(), agg.hit_rate().to_bits())
     };
     assert_eq!(run(&trace), run(&from_text));
-    assert_eq!(run(&trace), run(&from_json));
+    assert_eq!(run(&trace), run(&from_bin));
 }
 
 #[test]
