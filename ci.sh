@@ -46,9 +46,8 @@ cargo test -q -p fgcache-types --features fgcache_model
 echo "==> model checker: cargo test -q -p fgcache-net --features fgcache_model --lib"
 cargo test -q -p fgcache-net --features fgcache_model --lib
 
-echo "==> loopback smoke: bench-net differential check (byte-exact vs in-process)"
-./target/release/fgcache bench-net --loopback true --clients 2 --events 2000 \
-    --capacity 200 --shards 2 --batch 1,8 --seed 2002
+echo "==> loopback smoke: TCP replay vs in-process calls in a release build (byte-exact)"
+cargo test -q --release --test net_differential
 
 echo "==> cluster smoke: 3-process TCP fleet with mid-replay join/leave (byte-exact vs oracle)"
 ./target/release/fgcache bench-cluster --nodes 3 --events 6000 --seed 2002

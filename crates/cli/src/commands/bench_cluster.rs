@@ -1,27 +1,21 @@
-//! `fgcache bench-cluster` — differential proof of cluster mode, two
-//! ways.
+//! `fgcache bench-cluster` — differential proof of cluster mode over
+//! real processes.
 //!
 //! ```text
 //! fgcache bench-cluster [--nodes 3] [--events 6000] [--capacity 400]
 //!                       [--shards 4] [--group 5] [--successors 8]
 //!                       [--universe 2000] [--zipf 0.85] [--seed 2002]
-//!                       [--virtual false]
 //! ```
 //!
-//! **TCP mode** (default): spawns `--nodes` real `fgcache serve
-//! --node-id` child processes on ephemeral loopback ports (each child
-//! prints its address; no port races), pushes an epoch'd membership view
-//! over the wire, replays a streamed Zipf workload round-robin through
-//! the fleet, **removes the highest node mid-replay and re-adds it
-//! later**, and byte-compares every node's wire statistics against the
-//! single-process routing oracle. Any divergence is an error (nonzero
-//! exit) — this is the cluster analogue of `bench-net`'s loopback
-//! differential check.
-//!
-//! **Virtual mode** (`--virtual true`): the same differential check on a
-//! [`VirtualCluster`] of `--nodes` (default 100) in-process nodes over
-//! simulated transports, sized for multi-million-event streams, plus
-//! per-node load/imbalance reporting.
+//! Spawns `--nodes` real `fgcache serve --node-id` child processes on
+//! ephemeral loopback ports (each child prints its address; no port
+//! races), pushes an epoch'd membership view over the wire, replays a
+//! streamed Zipf workload round-robin through the fleet, **removes the
+//! highest node mid-replay and re-adds it later**, and byte-compares
+//! every node's wire statistics against the single-process routing
+//! oracle. Any divergence is an error (nonzero exit). The in-process
+//! [`VirtualCluster`](fgcache_sim::cluster::VirtualCluster) gets the same
+//! check at 100 nodes in `fgcache-sim`'s `tests/cluster_replay.rs`.
 
 use std::error::Error;
 use std::io::{BufRead, BufReader};
@@ -29,10 +23,8 @@ use std::process::{Child, Command, Stdio};
 
 use fgcache_net::{GroupRequest, NetClient, Transport, WireStats};
 use fgcache_sim::cluster::{
-    oracle_replay, zipf_stream, MembershipChange, MembershipEvent, VirtualCluster,
-    VirtualClusterConfig,
+    oracle_replay, zipf_stream, MembershipChange, MembershipEvent, VirtualClusterConfig,
 };
-use fgcache_sim::report::Table;
 use fgcache_types::FileId;
 
 use crate::args::Args;
@@ -89,53 +81,6 @@ impl BenchClusterConfig {
             },
         ]
     }
-}
-
-/// Virtual mode: the in-process fleet vs the oracle, plus load stats.
-pub(crate) fn bench_virtual(config: &BenchClusterConfig) -> Result<String, Box<dyn Error>> {
-    let cluster_config = config.cluster_config();
-    let schedule = config.schedule();
-    let start = std::time::Instant::now();
-    let mut cluster = VirtualCluster::build(&cluster_config)?;
-    let report = cluster.replay(config.events()?, &schedule);
-    let elapsed = start.elapsed().as_secs_f64();
-    let oracle = oracle_replay(&cluster_config, config.events()?, &schedule)?;
-    for (i, (got, want)) in report.per_node.iter().zip(&oracle).enumerate() {
-        if got != want {
-            return Err(format!(
-                "virtual cluster check FAILED: node {i} diverged from the oracle\n  \
-                 cluster: {got:?}\n  oracle:  {want:?}"
-            )
-            .into());
-        }
-    }
-    let proxied: u64 = report.node_stats.iter().map(|s| s.proxied).sum();
-    let failures: u64 = report.node_stats.iter().map(|s| s.proxy_failures).sum();
-    let mut out = format!(
-        "virtual cluster check: PASS — {} nodes, {} events, {} membership change(s), \
-         per-node stats byte-identical to the oracle\n  {} proxied, {} proxy failures, \
-         imbalance (max/mean load) {}, wall time {:.3}s ({:.0} events/s)\n",
-        config.nodes,
-        report.events,
-        schedule.len(),
-        proxied,
-        failures,
-        report
-            .imbalance
-            .map(|i| format!("{i:.3}"))
-            .unwrap_or_else(|| "\u{2014}".to_string()),
-        elapsed,
-        report.events as f64 / elapsed.max(1e-9),
-    );
-    let mut table = Table::new("per-node load (top 8 by accesses)", ["node", "accesses"]);
-    let mut loads: Vec<(usize, u64)> = report.load.iter().copied().enumerate().collect();
-    loads.sort_by_key(|&(node, load)| (std::cmp::Reverse(load), node));
-    for (node, load) in loads.into_iter().take(8) {
-        table.push_row([node.to_string(), load.to_string()]);
-    }
-    out.push('\n');
-    out.push_str(&table.render());
-    Ok(out)
 }
 
 /// One spawned `fgcache serve --node-id` child and its control client.
@@ -229,8 +174,9 @@ fn push_view(
     Ok(())
 }
 
-/// TCP mode: the multi-process fleet vs the oracle.
-pub(crate) fn bench_tcp(config: &BenchClusterConfig) -> Result<String, Box<dyn Error>> {
+/// Replays the workload through the multi-process fleet and checks it
+/// against the oracle.
+fn bench_tcp(config: &BenchClusterConfig) -> Result<String, Box<dyn Error>> {
     let mut fleet = spawn_fleet(config)?;
     let full_view: Vec<(u64, String)> = fleet
         .children
@@ -314,12 +260,10 @@ pub fn run(tokens: &[String]) -> Result<(), Box<dyn Error>> {
         "universe",
         "zipf",
         "seed",
-        "virtual",
     ])?;
-    let virtual_mode = args.flag_or("virtual", false)?;
     let config = BenchClusterConfig {
-        nodes: args.flag_or("nodes", if virtual_mode { 100usize } else { 3usize })?,
-        events: args.flag_or("events", if virtual_mode { 2_000_000u64 } else { 6_000u64 })?,
+        nodes: args.flag_or("nodes", 3usize)?,
+        events: args.flag_or("events", 6_000u64)?,
         capacity: args.flag_or("capacity", 400usize)?,
         shards: args.flag_or("shards", 4usize)?,
         group_size: args.flag_or("group", 5usize)?,
@@ -331,12 +275,7 @@ pub fn run(tokens: &[String]) -> Result<(), Box<dyn Error>> {
     if config.nodes == 0 {
         return Err("--nodes must be greater than zero".into());
     }
-    let report = if virtual_mode {
-        bench_virtual(&config)?
-    } else {
-        bench_tcp(&config)?
-    };
-    print!("{report}");
+    print!("{}", bench_tcp(&config)?);
     Ok(())
 }
 
@@ -359,15 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn virtual_mode_passes_and_reports_load() {
-        let report = bench_virtual(&quick()).unwrap();
-        assert!(report.contains("virtual cluster check: PASS"), "{report}");
-        assert!(report.contains("imbalance"));
-        assert!(report.contains("per-node load"));
-        assert!(report.contains("2 membership change(s)"));
-    }
-
-    #[test]
     fn churn_schedule_shape() {
         let schedule = quick().schedule();
         assert_eq!(schedule.len(), 2);
@@ -378,19 +308,5 @@ mod tests {
         let mut single = quick();
         single.nodes = 1;
         assert!(single.schedule().is_empty());
-    }
-
-    #[test]
-    fn virtual_mode_is_deterministic() {
-        let a = bench_virtual(&quick()).unwrap();
-        let b = bench_virtual(&quick()).unwrap();
-        // Strip the wall-time line, which legitimately varies.
-        let strip = |s: &str| {
-            s.lines()
-                .filter(|l| !l.contains("wall time"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(strip(&a), strip(&b));
     }
 }

@@ -39,40 +39,62 @@ where
     Ok(())
 }
 
+/// A source dialect `--from` names.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Dialect {
+    Dfstrace,
+    Strace,
+}
+
+impl Dialect {
+    fn parse(from: &str) -> Result<Self, Box<dyn Error>> {
+        match from {
+            "dfstrace" => Ok(Dialect::Dfstrace),
+            "strace" => Ok(Dialect::Strace),
+            other => Err(format!("unknown --from {other:?} (dfstrace|strace)").into()),
+        }
+    }
+}
+
 /// Converts `input` (in dialect `from`) into `sink`, returning the
 /// human-readable summary.
 pub(crate) fn convert<R: Read, W: Write + Seek>(
     input: R,
-    from: &str,
+    from: Dialect,
     sink: TraceSink<W>,
 ) -> Result<String, Box<dyn Error>> {
     let reader = BufReader::new(input);
     let report: ConvertReport = match from {
-        "dfstrace" => {
+        Dialect::Dfstrace => {
             let mut src = DfstraceEvents::new(reader);
             pump(&mut src, sink)?;
             src.report()
         }
-        "strace" => {
+        Dialect::Strace => {
             let mut src = StraceEvents::new(reader);
             pump(&mut src, sink)?;
             src.report()
         }
-        other => return Err(format!("unknown --from {other:?} (dfstrace|strace)").into()),
     };
     Ok(format!("{}\n", report.summary()))
 }
 
+/// Every flag and the input are checked before `--out` is created, and a
+/// conversion that fails after that removes it: a failed run leaves no
+/// output file, never a valid but truncated trace.
 pub fn run(tokens: &[String]) -> Result<(), Box<dyn Error>> {
     let args = Args::parse(tokens.iter().cloned())?;
     args.check_known(&["from", "out", "to"])?;
     let input_path = args.require_positional(0, "input")?;
-    let from: String = args.require_flag("from")?;
+    let from = Dialect::parse(&args.require_flag::<String>("from")?)?;
     let out_path: String = args.require_flag("out")?;
     let out_fmt = detect_format(&out_path, args.flag("to"))?;
     let input = File::open(input_path).map_err(|e| format!("cannot open {input_path}: {e}"))?;
     let sink = create_trace_sink(&out_path, out_fmt)?;
-    print!("{}", convert(input, &from, sink)?);
+    let summary = convert(input, from, sink).inspect_err(|_| {
+        let _ = std::fs::remove_file(&out_path);
+    })?;
+    print!("{summary}");
     Ok(())
 }
 
@@ -97,7 +119,7 @@ mod tests {
         let log = "0.1 alice open /a\n0.2 bob read /b\n0.3 alice write /a\n";
         let out_path = tmp("d.txt");
         let sink = create_trace_sink(&out_path, TraceFormat::Text).unwrap();
-        let summary = convert(log.as_bytes(), "dfstrace", sink).unwrap();
+        let summary = convert(log.as_bytes(), Dialect::Dfstrace, sink).unwrap();
         assert!(summary.contains("3 events"), "{summary}");
         let trace = load_trace(&out_path, None).unwrap();
         assert_eq!(trace.len(), 3);
@@ -113,7 +135,7 @@ mod tests {
 [pid 11] unlink(\"/tmp/x\") = 0\n";
         let out_path = tmp("s.bin");
         let sink = create_trace_sink(&out_path, TraceFormat::Binary).unwrap();
-        let summary = convert(log.as_bytes(), "strace", sink).unwrap();
+        let summary = convert(log.as_bytes(), Dialect::Strace, sink).unwrap();
         assert!(summary.contains("3 events"), "{summary}");
         let trace = load_trace(&out_path, None).unwrap();
         assert_eq!(trace.len(), 3);
@@ -122,14 +144,14 @@ mod tests {
 
     #[test]
     fn unknown_dialect_is_rejected() {
-        let err = convert(&b"x"[..], "ltrace", text_sink()).unwrap_err();
+        let err = Dialect::parse("ltrace").unwrap_err();
         assert!(err.to_string().contains("dfstrace|strace"));
     }
 
     #[test]
     fn malformed_dfstrace_reports_line_number() {
         let log = "0.1 alice open /a\nnot a line\n";
-        let err = convert(log.as_bytes(), "dfstrace", text_sink()).unwrap_err();
+        let err = convert(log.as_bytes(), Dialect::Dfstrace, text_sink()).unwrap_err();
         assert!(err.to_string().contains("line 2"), "{err}");
     }
 

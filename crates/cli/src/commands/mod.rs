@@ -5,7 +5,6 @@
 //! is unit-testable without spawning processes.
 
 pub mod bench_cluster;
-pub mod bench_net;
 pub mod convert;
 pub mod entropy;
 pub mod gen;

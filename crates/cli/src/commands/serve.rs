@@ -10,8 +10,9 @@
 //!
 //! The server prints `listening on HOST:PORT` (useful with port 0, which
 //! binds an ephemeral port) and then blocks until a client sends the
-//! wire-protocol `Shutdown` message — which `fgcache bench-net` does, and
-//! which any `NetClient::send_shutdown` call can do.
+//! wire-protocol `Shutdown` message — which `fgcache bench-cluster` does
+//! to stop its nodes, and which any `NetClient::send_shutdown` call can
+//! do.
 //!
 //! With `--node-id` the server becomes a cluster node: fetches for
 //! groups another node owns (by the rendezvous ring over the current

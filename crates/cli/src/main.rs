@@ -12,8 +12,7 @@
 //! fgcache plan      --validate true [--events 10000000]   # CI gate: Che vs simulator
 //! fgcache plan      --compare-grouping true [--run-length 4] [--capacities 200,800]
 //! fgcache serve     --capacity 400 [--addr 127.0.0.1:0] [--shards 4] [--max-conns 1024] [--workers 4] [--node-id 1 [--peers 1=HOST:PORT,...]]
-//! fgcache bench-net --loopback true [--clients 4] [--events 10000] [--batch 1,8,32]
-//! fgcache bench-cluster [--nodes 3] [--events 6000] [--virtual true]
+//! fgcache bench-cluster [--nodes 3] [--events 6000]
 //! fgcache convert   access.log --from strace --out trace.bin [--to text|bin]
 //! ```
 //!
@@ -51,9 +50,7 @@ COMMANDS:
     serve      run an event-driven TCP group-fetch server over a sharded
                cache (--max-conns/--workers size the event loop;
                --node-id/--peers turn it into one cluster node)
-    bench-net  loopback TCP differential check + batch-pipelining sweep
-    bench-cluster  multi-process TCP cluster smoke vs a single-process
-               oracle (--virtual true: 100-node in-process fleet)
+    bench-cluster  multi-process TCP cluster smoke vs a single-process oracle
     convert    translate DFSTrace/strace logs into fgcache traces
     help       print this message
 
@@ -77,7 +74,6 @@ fn main() -> ExitCode {
         "groups" => commands::groups::run(&rest),
         "plan" => commands::plan::run(&rest),
         "serve" => commands::serve::run(&rest),
-        "bench-net" => commands::bench_net::run(&rest),
         "bench-cluster" => commands::bench_cluster::run(&rest),
         "convert" => commands::convert::run(&rest),
         "help" | "--help" | "-h" => {

@@ -210,4 +210,59 @@ fn bad_flags_fail_with_messages() {
         );
     }
     std::fs::remove_file(&trace).ok();
+
+    // `bench-net` is an unknown command, and the usage printed with the
+    // error does not name it.
+    let out = fgcache(&["bench-net", "--loopback", "true"]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(err.contains("unknown command \"bench-net\""), "{err}");
+    assert!(
+        err.contains("USAGE") && err.contains("bench-cluster"),
+        "{err}"
+    );
+    assert!(
+        !err.lines().any(|l| l.trim_start().starts_with("bench-net")),
+        "{err}"
+    );
+
+    // `bench-cluster` has no in-process fleet mode.
+    let out = fgcache(&["bench-cluster", "--virtual", "true"]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(err.contains("unknown flag --virtual"), "{err}");
+}
+
+#[test]
+fn failed_convert_leaves_no_output_file() {
+    let log = tmp("convert-src.dfs");
+    std::fs::write(
+        &log,
+        "0.1 alice open /a\n0.2 bob read /b\n0.3 alice write /a extra\n",
+    )
+    .unwrap();
+    for (from, out_path, message) in [
+        // An unknown dialect is refused before the output is created.
+        ("ltrace", tmp("convert-dialect.txt"), "dfstrace|strace"),
+        // A parse error after two good events removes the partial trace.
+        ("dfstrace", tmp("convert-line3.txt"), "line 3"),
+        ("dfstrace", tmp("convert-line3.bin"), "line 3"),
+    ] {
+        let out = fgcache(&["convert", &log, "--from", from, "--out", &out_path]);
+        assert!(!out.status.success(), "{from} -> {out_path}");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(err.contains(message), "{from} -> {out_path}: {err}");
+        assert!(
+            !std::path::Path::new(&out_path).exists(),
+            "{out_path} was left behind"
+        );
+    }
+    // Refused flags never touch an existing file at the output path.
+    let kept = tmp("convert-kept.txt");
+    std::fs::write(&kept, "not a trace\n").unwrap();
+    let out = fgcache(&["convert", &log, "--from", "ltrace", "--out", &kept]);
+    assert!(!out.status.success());
+    assert_eq!(std::fs::read_to_string(&kept).unwrap(), "not a trace\n");
+    std::fs::remove_file(&kept).ok();
+    std::fs::remove_file(&log).ok();
 }

@@ -39,10 +39,10 @@ pub struct CostPoint {
 }
 
 impl CostPoint {
-    /// Prices a run from its raw counters. Every cost path — the analytic
-    /// sweep and the transport-backed sweep — builds its points through
-    /// this one constructor, so the analytic and measured rows of
-    /// [`cost_table`] cannot silently diverge in how they price counters.
+    /// Prices a run from its raw counters. The transport-backed sweep and
+    /// the analytic reference its tests compare it with both build their
+    /// points through this one constructor, so they cannot silently
+    /// diverge in how they price counters.
     pub fn from_counters(group_size: usize, fetches: u64, files: u64, model: &CostModel) -> Self {
         CostPoint {
             group_size,
@@ -53,42 +53,6 @@ impl CostPoint {
     }
 }
 
-/// Replays `trace` through aggregating caches of each group size and
-/// prices the runs under `model`.
-///
-/// # Errors
-///
-/// Returns a [`ValidationError`] if the model is invalid, `group_sizes`
-/// is empty, or a group size exceeds `capacity`.
-pub fn cost_sweep(
-    trace: &Trace,
-    capacity: usize,
-    group_sizes: &[usize],
-    model: CostModel,
-) -> Result<Vec<CostPoint>, ValidationError> {
-    model.validate()?;
-    if group_sizes.is_empty() {
-        return Err(ValidationError::new("group_sizes", "must not be empty"));
-    }
-    let mut points = Vec::with_capacity(group_sizes.len());
-    for &g in group_sizes {
-        let mut cache = AggregatingCacheBuilder::new(capacity)
-            .group_size(g)
-            .build()?;
-        for ev in trace.events() {
-            cache.handle_access(ev.file);
-        }
-        let stats = cache.group_stats();
-        points.push(CostPoint::from_counters(
-            g,
-            stats.demand_fetches,
-            stats.files_transferred,
-            &model,
-        ));
-    }
-    Ok(points)
-}
-
 /// Replays `trace` through aggregating caches of each group size with
 /// every demand miss routed through a [`SimTransport`] fetching from the
 /// origin, and prices the runs **from the transport's own counters** —
@@ -97,14 +61,16 @@ pub fn cost_sweep(
 /// silently diverging) if the cache's analytic counters and the
 /// transport's measured counters ever disagree.
 ///
-/// With zero jitter the returned points are identical to [`cost_sweep`]'s
-/// — pinned by a test — because both derive from the same fetch stream
-/// and price through [`CostPoint::from_counters`].
+/// With zero jitter the returned points are identical to pricing the
+/// cache's own counters — pinned by a test against an analytic reference
+/// sweep — because both derive from the same fetch stream and price
+/// through [`CostPoint::from_counters`].
 ///
 /// # Errors
 ///
-/// Returns a [`ValidationError`] for invalid inputs (see [`cost_sweep`])
-/// or for a counter divergence between the cache and the transport.
+/// Returns a [`ValidationError`] if the model is invalid, `group_sizes`
+/// is empty or a group size exceeds `capacity`, or for a counter
+/// divergence between the cache and the transport.
 pub fn cost_sweep_via_transport(
     trace: &Trace,
     capacity: usize,
@@ -197,6 +163,38 @@ pub fn cost_table(title: &str, points: &[CostPoint]) -> Table {
 mod tests {
     use super::*;
     use fgcache_trace::synth::{SynthConfig, WorkloadProfile};
+
+    /// Replays `trace` through aggregating caches of each group size and
+    /// prices the cache's own counters under `model`: the analytic
+    /// reference for [`cost_sweep_via_transport`].
+    fn cost_sweep(
+        trace: &Trace,
+        capacity: usize,
+        group_sizes: &[usize],
+        model: CostModel,
+    ) -> Result<Vec<CostPoint>, ValidationError> {
+        model.validate()?;
+        if group_sizes.is_empty() {
+            return Err(ValidationError::new("group_sizes", "must not be empty"));
+        }
+        let mut points = Vec::with_capacity(group_sizes.len());
+        for &g in group_sizes {
+            let mut cache = AggregatingCacheBuilder::new(capacity)
+                .group_size(g)
+                .build()?;
+            for ev in trace.events() {
+                cache.handle_access(ev.file);
+            }
+            let stats = cache.group_stats();
+            points.push(CostPoint::from_counters(
+                g,
+                stats.demand_fetches,
+                stats.files_transferred,
+                &model,
+            ));
+        }
+        Ok(points)
+    }
 
     fn trace() -> Trace {
         SynthConfig::profile(WorkloadProfile::Server)

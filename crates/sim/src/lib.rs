@@ -12,7 +12,7 @@
 //! | [`entropy_exp`] | Figures 7 & 8 | successor entropy vs symbol length, raw and filtered |
 //! | [`headline`] | §1/§6 claims | fetch-reduction and server-gain summary table |
 //! | [`cost`] | §1 motivation | latency-vs-bandwidth pricing of group fetching |
-//! | [`multiclient`] | §4.3 topology | K concurrent clients against the sharded server tier |
+//! | [`multiclient`] | §4.3 topology | K filtered clients replayed round-robin into one sharded server |
 //! | [`cluster`] | beyond the paper | N-node virtual cluster vs a single-process routing oracle |
 //! | [`plan_validation`] | beyond the paper | analytic planner (`fgcache plan`) vs streamed replay |
 //!
@@ -40,7 +40,7 @@ pub use cluster::{
     oracle_replay, zipf_run_stream, zipf_stream, ClusterReplayReport, MembershipChange,
     MembershipEvent, VirtualCluster, VirtualClusterConfig,
 };
-pub use cost::{cost_sweep, cost_sweep_via_transport, CostModel, CostPoint};
+pub use cost::{cost_sweep_via_transport, CostModel, CostPoint};
 pub use entropy_exp::{entropy_sweep, filtered_entropy_sweep, EntropySeries};
 pub use headline::{headline_summary, HeadlineRow, HeadlineSummary};
 pub use multiclient::{

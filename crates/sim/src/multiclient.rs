@@ -4,17 +4,24 @@
 //! behind its own cache, with no client cooperation. These drivers build
 //! that topology end to end: `K` clients, each with a private
 //! [`FilterCache`] front-end, send their misses to one shared server.
-//! [`run_multiclient_transport`] replays one materialised trace per
-//! client through a [`Transport`] each (in process, simulated or over
-//! TCP), either concurrently (one scoped thread per client) or as a
-//! deterministic round-robin interleave. [`run_multiclient_stream`]
-//! replays a single event stream too large to hold in memory against an
-//! in-process [`ShardedAggregatingCache`], dealing its events to the
-//! clients round-robin ([`split_round_robin`] does the same split on a
-//! materialised trace).
+//!
+//! * [`run_multiclient_stream`] is the fast in-process path (`fgcache
+//!   simulate --clients`): it deals a single event stream, too large to
+//!   hold in memory if need be, to the clients round-robin and calls the
+//!   [`ShardedAggregatingCache`] directly.
+//! * [`run_multiclient_transport`] replays one materialised trace per
+//!   client through a [`Transport`] each (in process, simulated or over
+//!   TCP) as a deterministic round-robin interleave. It is the harness of
+//!   the loopback TCP differential tests, which pin that a TCP replay
+//!   leaves the server byte-identical to an in-process one.
+//!
+//! The stream driver calls the cache rather than a
+//! [`fgcache_net::DirectTransport`]: the output would be the same, but
+//! every miss would allocate a `GroupReply`, which took the wall time of
+//! a 2 M-event `simulate --clients 4` run from ~230 ms to ~350 ms on a
+//! 2-core host.
 
 use std::fmt;
-use std::time::{Duration, Instant};
 
 use fgcache_cache::{FilterCache, LruCache};
 use fgcache_core::ShardedAggregatingCache;
@@ -48,8 +55,6 @@ pub struct MultiClientPoint {
     pub demand_fetches: u64,
     /// Per-shard load imbalance (busiest / mean; 1.0 = balanced).
     pub imbalance: f64,
-    /// Wall-clock replay time (excludes trace generation).
-    pub elapsed: Duration,
 }
 
 /// Why a transport-backed replay failed: the inputs were invalid, or the
@@ -112,8 +117,6 @@ pub struct TransportReplayPoint {
     /// fetch count and `transport.files_moved` the files-transferred
     /// count that cost models should price.
     pub transport: TransportStats,
-    /// Wall-clock replay time (excludes trace generation).
-    pub elapsed: Duration,
 }
 
 /// Replays `traces` (one per client) with every filter-cache miss routed
@@ -128,25 +131,23 @@ pub struct TransportReplayPoint {
 /// with [`request_id`], so the streams stay
 /// idempotency-safe against one shared server.
 ///
-/// With `concurrent = false` clients take turns, one event per turn, so
-/// at `batch == 1` every transport backed by the same
-/// [`ShardedAggregatingCache`] configuration — in process, simulated or
-/// over TCP — produces **byte-identical** server statistics: the
-/// differential property the loopback tests pin. Larger batches and
-/// concurrent replay reorder server arrivals, changing (only) the
-/// order-dependent statistics.
+/// Clients take turns, one event per turn, so at `batch == 1` every
+/// transport backed by the same [`ShardedAggregatingCache`]
+/// configuration — in process, simulated or over TCP — produces
+/// **byte-identical** server statistics: the differential property the
+/// loopback tests pin. Larger batches reorder server arrivals, changing
+/// (only) the order-dependent statistics.
 ///
 /// # Errors
 ///
 /// Returns [`TransportReplayError::Invalid`] for empty/mismatched inputs
 /// and [`TransportReplayError::Transport`] on the first terminal fetch
 /// failure.
-pub fn run_multiclient_transport<T: Transport + Send>(
+pub fn run_multiclient_transport<T: Transport>(
     traces: &[Trace],
     filter_capacity: usize,
     mut transports: Vec<T>,
     batch: usize,
-    concurrent: bool,
 ) -> Result<(TransportReplayPoint, Vec<T>), TransportReplayError> {
     if traces.is_empty() {
         return Err(ValidationError::new("traces", "at least one client trace").into());
@@ -165,14 +166,8 @@ pub fn run_multiclient_transport<T: Transport + Send>(
         )
         .into());
     }
-    let batch = batch.max(1);
-    let start = Instant::now();
-    let (client_hits, client_accesses) = if concurrent {
-        replay_transport_concurrent(traces, filter_capacity, &mut transports, batch)?
-    } else {
-        replay_transport_round_robin(traces, filter_capacity, &mut transports, batch)?
-    };
-    let elapsed = start.elapsed();
+    let (client_hits, client_accesses) =
+        replay_transport_round_robin(traces, filter_capacity, &mut transports, batch.max(1))?;
     let mut merged = TransportStats::default();
     for t in &transports {
         merged.merge(&t.stats());
@@ -188,12 +183,11 @@ pub fn run_multiclient_transport<T: Transport + Send>(
             client_hits as f64 / client_accesses as f64
         },
         transport: merged,
-        elapsed,
     };
     Ok((point, transports))
 }
 
-/// Per-client replay state for the transport-backed modes: the private
+/// Per-client replay state for the transport-backed replay: the private
 /// filter, the pending batch, and the client's request-id sequence.
 struct TransportClient<'t, T> {
     index: u64,
@@ -276,42 +270,6 @@ fn replay_transport_round_robin<T: Transport>(
     Ok(totals)
 }
 
-/// One scoped thread per client, each driving its own transport.
-fn replay_transport_concurrent<T: Transport + Send>(
-    traces: &[Trace],
-    filter_capacity: usize,
-    transports: &mut [T],
-    batch: usize,
-) -> Result<(u64, u64), TransportError> {
-    let results = std::thread::scope(|scope| {
-        let handles: Vec<_> = traces
-            .iter()
-            .zip(transports.iter_mut())
-            .enumerate()
-            .map(|(index, (trace, transport))| {
-                scope.spawn(move || {
-                    let mut client = TransportClient::new(index, filter_capacity, transport);
-                    for ev in trace.events() {
-                        client.offer(ev.file, batch)?;
-                    }
-                    client.finish()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client replay thread panicked"))
-            .collect::<Vec<_>>()
-    });
-    let mut totals = (0, 0);
-    for result in results {
-        let (hits, accesses) = result?;
-        totals.0 += hits;
-        totals.1 += accesses;
-    }
-    Ok(totals)
-}
-
 /// Why a streaming multi-client replay stopped: the inputs were invalid,
 /// or the event source itself failed mid-stream.
 #[derive(Debug)]
@@ -346,11 +304,11 @@ impl<E> From<ValidationError> for StreamReplayError<E> {
     }
 }
 
-/// Single-pass streaming twin of [`split_round_robin`] +
-/// [`run_multiclient_transport`] (round-robin, `batch == 1`, one
-/// `DirectTransport` per client): event `i` of the stream is attributed
-/// to client `i % clients`, whose private filter decides whether it
-/// reaches the shared server.
+/// Single-pass streaming twin of [`run_multiclient_transport`]
+/// (round-robin, `batch == 1`, one `DirectTransport` per client) over
+/// the trace split into `clients` interleaved streams: event `i` of the
+/// stream is attributed to client `i % clients`, whose private filter
+/// decides whether it reaches the shared server.
 ///
 /// The round-robin interleave replays split traces in exactly original
 /// stream order (turn `t` plays events `t·k .. t·k + k` in client order),
@@ -380,7 +338,6 @@ where
         return Err(ValidationError::new("filter_capacity", "must be greater than zero").into());
     }
     let shards = server.shard_count();
-    let start = Instant::now();
     let mut filters: Vec<FilterCache<LruCache>> = (0..clients)
         .map(|_| FilterCache::new(LruCache::new(filter_capacity)))
         .collect();
@@ -391,7 +348,6 @@ where
             server.handle_access(ev.file);
         }
     }
-    let elapsed = start.elapsed();
     let (client_hits, client_accesses) = filters.iter().fold((0, 0), |(h, a), f| {
         (h + f.stats().hits, a + f.stats().accesses)
     });
@@ -412,26 +368,7 @@ where
         server_accesses: stats.accesses,
         demand_fetches: server.demand_fetches(),
         imbalance: server.shard_imbalance(),
-        elapsed,
     })
-}
-
-/// Splits one trace into `k` interleaved client streams (event `i` goes
-/// to client `i % k`) — how the CLI turns a single recorded trace into a
-/// multi-client workload.
-pub fn split_round_robin(trace: &Trace, k: usize) -> Vec<Trace> {
-    let k = k.max(1);
-    (0..k)
-        .map(|client| {
-            trace
-                .events()
-                .iter()
-                .skip(client)
-                .step_by(k)
-                .copied()
-                .collect()
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -443,6 +380,25 @@ mod tests {
 
     const CLIENTS: usize = 2;
     const FILTER: usize = 50;
+
+    /// Splits one trace into `k` interleaved client streams (event `i`
+    /// goes to client `i % k`): the materialised input on which
+    /// [`run_multiclient_transport`] replays what
+    /// [`run_multiclient_stream`] replays from one stream.
+    fn split_round_robin(trace: &Trace, k: usize) -> Vec<Trace> {
+        let k = k.max(1);
+        (0..k)
+            .map(|client| {
+                trace
+                    .events()
+                    .iter()
+                    .skip(client)
+                    .step_by(k)
+                    .copied()
+                    .collect()
+            })
+            .collect()
+    }
 
     /// `CLIENTS` independent server-profile traces (client `i` seeded
     /// with `7 + i`).
@@ -475,7 +431,7 @@ mod tests {
             .iter()
             .map(|_| DirectTransport::new(server))
             .collect();
-        run_multiclient_transport(traces, FILTER, transports, 1, false)
+        run_multiclient_transport(traces, FILTER, transports, 1)
             .unwrap()
             .0
     }
@@ -530,18 +486,18 @@ mod tests {
         let traces = client_traces();
         let none: Vec<SimTransport<'static>> = Vec::new();
         assert!(matches!(
-            run_multiclient_transport(&[], 10, none, 1, false),
+            run_multiclient_transport(&[], 10, none, 1),
             Err(TransportReplayError::Invalid(_))
         ));
         let one = vec![SimTransport::to_origin(CostModel::remote())];
         assert!(matches!(
-            run_multiclient_transport(&traces, 0, one, 1, false),
+            run_multiclient_transport(&traces, 0, one, 1),
             Err(TransportReplayError::Invalid(_))
         ));
         let one = vec![SimTransport::to_origin(CostModel::remote())];
         assert!(
             matches!(
-                run_multiclient_transport(&traces, 10, one, 1, false),
+                run_multiclient_transport(&traces, 10, one, 1),
                 Err(TransportReplayError::Invalid(_))
             ),
             "two traces need two transports"
@@ -560,7 +516,7 @@ mod tests {
             .map(|_| SimTransport::to_shared(&transport_server, CostModel::remote()))
             .collect();
         let (point, transports) =
-            run_multiclient_transport(&traces, FILTER, transports, 1, false).unwrap();
+            run_multiclient_transport(&traces, FILTER, transports, 1).unwrap();
 
         assert_eq!(point.events, direct.events);
         assert_eq!(point.client_hits, direct.client_hits);
@@ -587,8 +543,7 @@ mod tests {
             let transports: Vec<SimTransport<'_>> = (0..traces.len())
                 .map(|_| SimTransport::to_shared(&server, CostModel::remote()))
                 .collect();
-            let (point, _) =
-                run_multiclient_transport(&traces, FILTER, transports, batch, false).unwrap();
+            let (point, _) = run_multiclient_transport(&traces, FILTER, transports, batch).unwrap();
             point
         };
         let single = run(1);
@@ -601,25 +556,6 @@ mod tests {
         // request: strictly fewer round trips, strictly less virtual time.
         assert!(batched.transport.round_trips < single.transport.round_trips);
         assert!(batched.transport.virtual_time < single.transport.virtual_time);
-    }
-
-    #[test]
-    fn transport_concurrent_replay_agrees_on_client_totals() {
-        let traces = client_traces();
-        let server_conc = server(2);
-        let transports: Vec<SimTransport<'_>> = (0..traces.len())
-            .map(|_| SimTransport::to_shared(&server_conc, CostModel::remote()))
-            .collect();
-        let (conc, _) = run_multiclient_transport(&traces, FILTER, transports, 4, true).unwrap();
-
-        let rr = direct_replay(&server(2), &traces);
-        // Client filters are private: totals match the round-robin replay
-        // regardless of interleaving, batching or the transport seam.
-        assert_eq!(conc.events, rr.events);
-        assert_eq!(conc.client_hits, rr.client_hits);
-        assert!((conc.client_hit_rate - rr.client_hit_rate).abs() < 1e-12);
-        assert_eq!(conc.transport.requests, rr.transport.requests);
-        assert_eq!(server_conc.stats().accesses, rr.client_misses);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! The tentpole acceptance test at fleet scale: a 100-virtual-node
-//! cluster replaying a streamed trace with membership churn is
-//! byte-identical, per node, to the single-process routing oracle.
-//! (The multi-million-event run of the same harness happens in release
-//! mode via `fgcache bench-cluster --virtual`, wired into CI.)
+//! Cluster mode at fleet scale: a 100-virtual-node cluster replaying a
+//! streamed trace with membership churn is byte-identical, per node, to
+//! the single-process routing oracle. This is the in-process fleet's
+//! only end-to-end check; the multi-process TCP fleet is checked by the
+//! `fgcache bench-cluster` smoke in `ci.sh`.
 
 use fgcache_sim::cluster::{
     oracle_replay, zipf_stream, MembershipChange, MembershipEvent, VirtualCluster,

@@ -104,7 +104,7 @@ fn replay_beside_hundreds_of_idle_connections_is_byte_identical_and_bounded() {
     let (served, handle) = spawn_server();
     let mut idle = connect(&handle, 10_000..10_000 + IDLE_CONNS as u64);
     let clients = connect(&handle, 0..CLIENTS as u64);
-    run_multiclient_transport(&traces, FILTER, clients, 1, false).unwrap();
+    run_multiclient_transport(&traces, FILTER, clients, 1).unwrap();
 
     // The crowd changes nothing: the served cache ends in exactly the
     // state the in-process replay left the oracle in.
@@ -141,7 +141,7 @@ fn direct_replay(traces: &[Trace]) -> ShardedAggregatingCache {
     let transports: Vec<DirectTransport<'_>> = (0..traces.len())
         .map(|_| DirectTransport::new(&direct))
         .collect();
-    run_multiclient_transport(traces, FILTER, transports, 1, false).unwrap();
+    run_multiclient_transport(traces, FILTER, transports, 1).unwrap();
     direct
 }
 
@@ -177,8 +177,7 @@ fn rss_kb() -> Option<u64> {
 fn tcp_replay(traces: &[Trace], batch: usize) -> (fgcache::sim::TransportReplayPoint, WireStats) {
     let (_, handle) = spawn_server();
     let clients = connect(&handle, 0..CLIENTS as u64);
-    let (point, mut clients) =
-        run_multiclient_transport(traces, FILTER, clients, batch, false).unwrap();
+    let (point, mut clients) = run_multiclient_transport(traces, FILTER, clients, batch).unwrap();
     let wire = clients[0].server_stats().unwrap();
     handle.stop();
     (point, wire)
