@@ -59,8 +59,6 @@
 
 use std::sync::Mutex;
 
-use fgcache_types::sync::{AtomicU64, Ordering};
-
 use fgcache_cache::{Cache as _, CacheStats};
 use fgcache_types::hash::mix64;
 use fgcache_types::sizing::SizeCostAssigner;
@@ -69,13 +67,15 @@ use fgcache_types::{AccessOutcome, FileId, InvariantViolation, ValidationError};
 use crate::aggregating::{AggregatingCache, GroupFetchStats, InsertionPolicy, MetadataSource};
 use crate::builder::{AggregatingCacheBuilder, DEFAULT_SUCCESSOR_CAPACITY};
 
-/// One shard: the locked aggregating cache plus its acquisition counter.
+/// What one shard's mutex guards: its aggregating cache and how often
+/// that mutex was taken.
 #[derive(Debug)]
 struct Shard {
-    cache: Mutex<AggregatingCache>,
-    /// Times this shard's mutex was acquired (relaxed counter) — the
-    /// contention metric the hot-path bench reports as locks/event.
-    lock_acquisitions: AtomicU64,
+    cache: AggregatingCache,
+    /// Acquisitions through [`ShardedAggregatingCache::shard`] — the
+    /// benchmark ledger's locks-per-fetch. Kept under the mutex it
+    /// counts, so it is exact.
+    lock_acquisitions: u64,
 }
 
 /// Maps a file to its shard with the SplitMix64 finalizer — deterministic
@@ -149,11 +149,11 @@ mod lock_witness {
     }
 }
 
-/// RAII guard over one shard's cache mutex. Dereferences to the locked
+/// RAII guard over one shard's mutex. Dereferences to the locked
 /// [`AggregatingCache`] and keeps the debug-build lock-order witness in
 /// sync with the guard's lifetime.
 struct ShardGuard<'a> {
-    guard: std::sync::MutexGuard<'a, AggregatingCache>,
+    guard: std::sync::MutexGuard<'a, Shard>,
     #[cfg(debug_assertions)]
     witness: (usize, usize),
 }
@@ -162,13 +162,13 @@ impl std::ops::Deref for ShardGuard<'_> {
     type Target = AggregatingCache;
 
     fn deref(&self) -> &AggregatingCache {
-        &self.guard
+        &self.guard.cache
     }
 }
 
 impl std::ops::DerefMut for ShardGuard<'_> {
     fn deref_mut(&mut self) -> &mut AggregatingCache {
-        &mut self.guard
+        &mut self.guard.cache
     }
 }
 
@@ -198,10 +198,9 @@ impl Drop for ShardGuard<'_> {
 /// [`shard_accesses`], …) are built on that snapshot, so each call is a
 /// consistent cut on its own — but two *separate* calls are two
 /// different cuts and may disagree under concurrent traffic.
-/// The relaxed telemetry counter [`lock_acquisitions`] is sampled with
-/// `Relaxed` loads and may be torn across shards / lag the snapshot
-/// cut; treat it as a monotonic approximation, exact only after client
-/// threads have joined.
+/// Each shard counts its own acquisitions under its own mutex, so
+/// [`lock_acquisitions`] is exact: it visits the shards one at a time,
+/// in ascending order, and takes each lock without counting that take.
 ///
 /// [`snapshot`]: ShardedAggregatingCache::snapshot
 /// [`stats`]: ShardedAggregatingCache::stats
@@ -212,7 +211,7 @@ impl Drop for ShardGuard<'_> {
 /// [`lock_acquisitions`]: ShardedAggregatingCache::lock_acquisitions
 #[derive(Debug)]
 pub struct ShardedAggregatingCache {
-    shards: Vec<Shard>,
+    shards: Vec<Mutex<Shard>>,
     capacity: usize,
 }
 
@@ -230,8 +229,8 @@ pub struct ShardedSnapshot {
     pub metadata_entries: usize,
     /// Requests handled per shard, in shard order.
     pub shard_accesses: Vec<u64>,
-    /// Mutex acquisitions across all shards (relaxed sample, including
-    /// the acquisitions this snapshot itself performed).
+    /// Counted mutex acquisitions across all shards, including the
+    /// ones this snapshot itself performed.
     pub lock_acquisitions: u64,
 }
 
@@ -240,9 +239,11 @@ impl ShardedAggregatingCache {
         ShardedAggregatingCache {
             shards: shards
                 .into_iter()
-                .map(|cache| Shard {
-                    cache: Mutex::new(cache),
-                    lock_acquisitions: AtomicU64::new(0),
+                .map(|cache| {
+                    Mutex::new(Shard {
+                        cache,
+                        lock_acquisitions: 0,
+                    })
                 })
                 .collect(),
             capacity,
@@ -264,19 +265,25 @@ impl ShardedAggregatingCache {
         shard_index(file, self.shards.len())
     }
 
-    /// Acquires shard `i`'s mutex, counting the acquisition. Every
-    /// locked entry point routes through here.
+    /// Acquires shard `i`'s mutex and counts the acquisition. Every
+    /// locked entry point except [`lock_acquisitions`](Self::lock_acquisitions)
+    /// routes through here.
     fn shard(&self, i: usize) -> ShardGuard<'_> {
-        let shard = &self.shards[i];
-        shard.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
+        let mut guard = self.lock(i);
+        guard.guard.lock_acquisitions += 1;
+        guard
+    }
+
+    /// Acquires shard `i`'s mutex through the lock-order witness,
+    /// without counting it.
+    fn lock(&self, i: usize) -> ShardGuard<'_> {
         // Witness before blocking: an out-of-order acquisition is
         // reported as the discipline violation it is, not as the
         // deadlock it may eventually cause.
         #[cfg(debug_assertions)]
         lock_witness::acquire(self.shards.as_ptr() as usize, i);
         ShardGuard {
-            guard: shard
-                .cache
+            guard: self.shards[i]
                 .lock()
                 .expect("a shard panicked while holding its lock"),
             #[cfg(debug_assertions)]
@@ -334,11 +341,11 @@ impl ShardedAggregatingCache {
     }
 
     /// Total shard-mutex acquisitions: one per request, plus those the
-    /// inspection calls take. Relaxed sample.
+    /// other inspection calls take. Reading the counts takes each shard
+    /// lock in turn but does not count those takes.
     pub fn lock_acquisitions(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock_acquisitions.load(Ordering::Relaxed))
+        (0..self.shards.len())
+            .map(|i| self.lock(i).guard.lock_acquisitions)
             .sum()
     }
 
@@ -354,6 +361,7 @@ impl ShardedAggregatingCache {
         let mut len = 0;
         let mut metadata_entries = 0;
         let mut shard_accesses = Vec::with_capacity(guards.len());
+        let mut lock_acquisitions = 0;
         for guard in &guards {
             let s = *guard.stats();
             stats.accesses += s.accesses;
@@ -370,6 +378,7 @@ impl ShardedAggregatingCache {
             len += guard.len();
             metadata_entries += guard.metadata_entries();
             shard_accesses.push(guard.accesses());
+            lock_acquisitions += guard.guard.lock_acquisitions;
         }
         ShardedSnapshot {
             stats,
@@ -377,7 +386,7 @@ impl ShardedAggregatingCache {
             len,
             metadata_entries,
             shard_accesses,
-            lock_acquisitions: self.lock_acquisitions(),
+            lock_acquisitions,
         }
     }
 
@@ -446,9 +455,10 @@ impl ShardedAggregatingCache {
     /// Drops all resident files, successor metadata, statistics, and
     /// the lock counters.
     pub fn clear(&self) {
-        for (i, shard) in self.shards.iter().enumerate() {
-            self.shard(i).clear();
-            shard.lock_acquisitions.store(0, Ordering::Relaxed);
+        for i in 0..self.shards.len() {
+            let mut guard = self.shard(i);
+            guard.clear();
+            guard.guard.lock_acquisitions = 0;
         }
     }
 
@@ -836,7 +846,7 @@ mod tests {
                 });
             }
         });
-        // Joined: the relaxed lock counter is exact, one per access.
+        // One counted lock per access, exact under concurrent clients.
         assert_eq!(c.lock_acquisitions(), 8000);
         let stats = c.stats();
         assert_eq!(stats.accesses, 8000);

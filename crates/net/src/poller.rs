@@ -7,14 +7,9 @@
 //! reports every entry as maybe-ready, so the server still has one loop.
 //!
 //! [`Waker`] lets a worker (or `ServerHandle::stop`) interrupt a blocked
-//! [`wait`]: a byte on a socket pair the loop polls, behind a flag that
-//! coalesces wakes to one byte per loop wake-up. The flag goes through
-//! the `fgcache_types::sync` facade, so the interleaving explorer checks
-//! the protocol (the model tests below).
+//! [`wait`]: a byte on a socket pair the loop polls.
 
 use std::time::Duration;
-
-use fgcache_types::sync::{AtomicU64, Ordering};
 
 /// Interest in (and, after [`wait`], readiness for) reading: `POLLIN`.
 pub(crate) const READ: i16 = 0x001;
@@ -119,125 +114,85 @@ fn assume_ready(fds: &mut [PollFd]) -> usize {
     fds.len()
 }
 
-/// The byte channel under a [`Waker`]. A trait so the model tests can run
-/// the real wake protocol over a counter instead of a socket.
-pub(crate) trait Pipe {
-    /// Makes the channel readable (one byte).
-    fn put(&self);
-    /// Consumes every byte put so far.
-    fn drain(&self);
-}
-
-/// A nonblocking socket pair: `put` writes to one end, the loop polls and
-/// drains the other.
+/// Wakes a loop blocked in [`wait`] from another thread: a byte on a
+/// nonblocking socket pair the loop polls.
+///
+/// Every [`wake`](Self::wake) writes one byte, and [`reset`](Self::reset)
+/// drains them all. The loop collects its queues after `reset` and before
+/// blocking, so a wake is never lost: one that lands before the drain
+/// leaves its work for that collection, and one that lands after leaves
+/// its byte pending, so the next [`wait`] returns at once.
 #[cfg(unix)]
-pub(crate) struct SocketPair {
+pub(crate) struct Waker {
     rx: std::os::unix::net::UnixStream,
     tx: std::os::unix::net::UnixStream,
 }
 
 /// Nothing to poll on this target: [`wait`] never blocks for long.
 #[cfg(not(unix))]
-pub(crate) struct SocketPair;
+pub(crate) struct Waker;
 
 #[cfg(unix)]
-impl SocketPair {
-    fn new() -> std::io::Result<Self> {
-        let (rx, tx) = std::os::unix::net::UnixStream::pair()?;
-        rx.set_nonblocking(true)?;
-        tx.set_nonblocking(true)?;
-        Ok(SocketPair { rx, tx })
-    }
-
-    fn poll_fd(&self) -> PollFd {
-        PollFd::new(&self.rx, READ)
-    }
-}
-
-#[cfg(unix)]
-impl Pipe for SocketPair {
-    fn put(&self) {
-        use std::io::Write as _;
-        // A full pipe already wakes the loop; any other failure cannot be
-        // reported from here and costs one tick of latency at worst.
-        let _ = (&self.tx).write(&[1]);
-    }
-
-    fn drain(&self) {
-        use std::io::Read as _;
-        let mut sink = [0u8; 64];
-        // Wakes are coalesced, so one short read is the common case.
-        while matches!((&self.rx).read(&mut sink), Ok(n) if n == sink.len()) {}
-    }
-}
-
-#[cfg(not(unix))]
-impl SocketPair {
-    fn new() -> std::io::Result<Self> {
-        Ok(SocketPair)
-    }
-
-    fn poll_fd(&self) -> PollFd {
-        PollFd::new(self, READ)
-    }
-}
-
-#[cfg(not(unix))]
-impl Pipe for SocketPair {
-    fn put(&self) {}
-    fn drain(&self) {}
-}
-
-/// Wakes a loop blocked in [`wait`] from another thread.
-///
-/// Protocol: `notified` is 1 from the first [`wake`](Self::wake) after a
-/// [`reset`](Self::reset) until that loop's next `reset`, and only the
-/// `wake` that flips it writes a byte — so at most one byte per reset,
-/// however many completions arrive. `reset` drains *before* it clears the
-/// flag: while the flag is 1 the byte that set it is still pending or
-/// about to be written, so a `wake` that finds the flag set may skip the
-/// write. The loop collects its queues after `reset` and before blocking,
-/// which covers a `wake` that lands between the drain and the clear.
-pub(crate) struct Waker<P: Pipe = SocketPair> {
-    notified: AtomicU64,
-    pipe: P,
-}
-
 impl Waker {
-    /// A waker over a fresh nonblocking socket pair (over nothing, on a
-    /// target whose [`wait`] never blocks).
+    /// A waker over a fresh nonblocking socket pair.
     ///
     /// # Errors
     ///
     /// Propagates the failure to create or configure the pair.
     pub(crate) fn new() -> std::io::Result<Self> {
-        Ok(Waker {
-            notified: AtomicU64::new(0),
-            pipe: SocketPair::new()?,
-        })
+        let (rx, tx) = std::os::unix::net::UnixStream::pair()?;
+        rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
+        Ok(Waker { rx, tx })
     }
 
     /// The entry that makes [`wait`] return when [`wake`](Self::wake) is called.
     pub(crate) fn poll_fd(&self) -> PollFd {
-        self.pipe.poll_fd()
+        PollFd::new(&self.rx, READ)
     }
-}
 
-impl<P: Pipe> Waker<P> {
     /// Makes the loop's current or next [`wait`] return. Call *after*
     /// queueing whatever the loop should find.
     pub(crate) fn wake(&self) {
-        if self.notified.swap(1, Ordering::AcqRel) == 0 {
-            self.pipe.put();
-        }
+        use std::io::Write as _;
+        // A full pair (`EAGAIN`) already has a byte pending, so the loop
+        // is already woken; any other failure cannot be reported from
+        // here and costs one tick of latency at worst.
+        let _ = (&self.tx).write(&[1]);
     }
 
-    /// Re-arms the waker. The loop calls this when [`wait`] reports the
-    /// waker's entry ready, before collecting its queues.
+    /// Consumes every pending wake. The loop calls this when [`wait`]
+    /// reports the waker's entry ready, before collecting its queues.
     pub(crate) fn reset(&self) {
-        self.pipe.drain();
-        self.notified.swap(0, Ordering::AcqRel);
+        use std::io::Read as _;
+        // A full pair holds a few hundred one-byte writes (278 on Linux
+        // with default socket buffers), so one read usually drains it.
+        let mut sink = [0u8; 512];
+        while matches!((&self.rx).read(&mut sink), Ok(n) if n == sink.len()) {}
     }
+}
+
+#[cfg(not(unix))]
+impl Waker {
+    /// A waker over nothing: [`wait`] never blocks on this target.
+    ///
+    /// # Errors
+    ///
+    /// Never fails; the signature matches the unix one.
+    pub(crate) fn new() -> std::io::Result<Self> {
+        Ok(Waker)
+    }
+
+    /// A placeholder entry; [`wait`] reports every entry ready here.
+    pub(crate) fn poll_fd(&self) -> PollFd {
+        PollFd::new(self, READ)
+    }
+
+    /// Nothing to do: the loop never blocks for long.
+    pub(crate) fn wake(&self) {}
+
+    /// Nothing to drain.
+    pub(crate) fn reset(&self) {}
 }
 
 #[cfg(all(test, unix))]
@@ -252,14 +207,40 @@ mod tests {
         assert!(!fds[0].ready());
 
         waker.wake();
-        waker.wake(); // coalesced: no second byte
         let mut fds = [waker.poll_fd()];
         assert_eq!(wait(&mut fds, 10_000), 1);
         assert!(fds[0].ready());
 
         waker.reset();
         let mut fds = [waker.poll_fd()];
-        assert_eq!(wait(&mut fds, 0), 0, "one reset consumes every wake");
+        assert_eq!(wait(&mut fds, 0), 0, "a reset consumes the wake");
+    }
+
+    #[test]
+    fn wakes_past_a_full_pair_never_block_and_one_reset_drains_them() {
+        // The pair fills after a few hundred one-byte writes; the rest
+        // meet `EAGAIN`. A blocking write would hang the thread, so the
+        // wakes run on one and must finish well inside the time-out.
+        let waker = Waker::new().expect("socket pair");
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waking = std::thread::spawn(move || {
+            for _ in 0..1_000 {
+                waker.wake();
+            }
+            let _ = tx.send(waker);
+        });
+        let waker = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("1 000 wakes without a reset blocked or panicked");
+        waking.join().expect("the waking thread panicked");
+
+        let mut fds = [waker.poll_fd()];
+        assert_eq!(wait(&mut fds, 0), 1, "a full pair reports the waker ready");
+        assert!(fds[0].ready());
+
+        waker.reset();
+        let mut fds = [waker.poll_fd()];
+        assert_eq!(wait(&mut fds, 0), 0, "one reset drains a full pair");
     }
 
     #[test]
@@ -272,138 +253,5 @@ mod tests {
         drop(b);
         let mut fds = [PollFd::new(&a, READ)];
         assert_eq!(wait(&mut fds, 10_000), 1, "a hang-up is reported as ready");
-    }
-}
-
-/// The wake protocol under the interleaving explorer (`fgcache_types::
-/// sync::model`, DESIGN.md §14): the real [`Waker::wake`] and
-/// [`Waker::reset`] over a counter in place of the socket pair.
-#[cfg(all(test, feature = "fgcache_model"))]
-mod model_tests {
-    use super::*;
-    use fgcache_types::sync::model::{explore, ModelMutex, ModelOptions, Scope};
-
-    /// The socket pair as a counter of pending bytes; `puts` totals every
-    /// byte ever written (a plain counter: it is read after the join).
-    struct CounterPipe {
-        pending: AtomicU64,
-        puts: std::sync::atomic::AtomicU64,
-    }
-
-    impl Pipe for CounterPipe {
-        fn put(&self) {
-            self.puts.fetch_add(1, Ordering::Relaxed);
-            self.pending.fetch_add(1, Ordering::AcqRel);
-        }
-        fn drain(&self) {
-            self.pending.swap(0, Ordering::AcqRel);
-        }
-    }
-
-    impl Waker<CounterPipe> {
-        fn model() -> Self {
-            Waker {
-                notified: AtomicU64::new(0),
-                pipe: CounterPipe {
-                    pending: AtomicU64::new(0),
-                    puts: std::sync::atomic::AtomicU64::new(0),
-                },
-            }
-        }
-
-        /// Whether a `wait` on this waker would return at once.
-        fn readable(&self) -> bool {
-            self.pipe.pending.load(Ordering::Acquire) > 0
-        }
-    }
-
-    type Protocol = dyn Fn(&Waker<CounterPipe>) + Sync;
-
-    /// Two workers (`push_done` → `wake`) against a loop making two
-    /// passes (`reset` if the waker is readable → `drain_done`), then
-    /// quiescence: the loop keeps waking while a byte is pending and
-    /// finally blocks. `wake` and `reset` are parameters so the seeded
-    /// mutations below can swap in wrong ones.
-    fn scenario(scope: &Scope, wake: &Protocol, reset: &Protocol) {
-        let waker = Waker::model();
-        let done = ModelMutex::new(0u32);
-        let resets = std::sync::atomic::AtomicU64::new(0);
-        let pass = || {
-            if waker.readable() {
-                reset(&waker);
-                resets.fetch_add(1, Ordering::Relaxed);
-            }
-            *done.lock() = 0;
-        };
-        let worker = || {
-            *done.lock() += 1;
-            wake(&waker);
-        };
-        let event_loop = || {
-            pass();
-            pass();
-        };
-        scope.threads(&[&worker, &worker, &event_loop]);
-        while waker.readable() {
-            pass();
-        }
-        // Blocked, no byte pending, and nobody left to write one.
-        assert_eq!(
-            *done.lock(),
-            0,
-            "a completion is queued while the loop is blocked with no byte pending"
-        );
-        // The flag must not be left set without its byte: the next wake
-        // has to reach the blocked loop.
-        wake(&waker);
-        assert!(
-            waker.readable(),
-            "a wake after quiescence did not reach the blocked loop"
-        );
-        // Three wakes in all, and only a reset lets the next one write.
-        let puts = waker.pipe.puts.load(Ordering::Relaxed);
-        assert!(
-            puts <= resets.load(Ordering::Relaxed) + 1,
-            "more than one byte per loop wake-up"
-        );
-    }
-
-    #[test]
-    fn model_wake_never_strands_a_completion_and_coalesces_bytes() {
-        let report = explore(&ModelOptions::default(), |scope: &Scope| {
-            scenario(scope, &|waker| waker.wake(), &|waker| waker.reset());
-        });
-        assert!(report.schedules > 100, "scenario must actually interleave");
-    }
-
-    /// Mutation: clearing the flag *before* draining lets a wake land in
-    /// between, write its byte, and have it drained with the flag left
-    /// set — every later wake is then skipped. The explorer must find it.
-    #[test]
-    #[should_panic(expected = "a wake after quiescence did not reach the blocked loop")]
-    fn model_mutation_clear_before_drain_is_caught() {
-        explore(&ModelOptions::default(), |scope: &Scope| {
-            scenario(scope, &|waker| waker.wake(), &|waker| {
-                waker.notified.swap(0, Ordering::AcqRel);
-                waker.pipe.drain();
-            });
-        });
-    }
-
-    /// Mutation: a wake that always writes is safe but not coalesced —
-    /// the byte bound is what notices.
-    #[test]
-    #[should_panic(expected = "more than one byte per loop wake-up")]
-    fn model_mutation_uncoalesced_wake_is_caught() {
-        explore(&ModelOptions::default(), |scope: &Scope| {
-            scenario(
-                scope,
-                &|waker| {
-                    waker.notified.swap(1, Ordering::AcqRel);
-                    waker.pipe.put();
-                },
-                &|waker| waker.reset(),
-            );
-        });
     }
 }

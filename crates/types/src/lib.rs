@@ -30,7 +30,6 @@ pub mod json;
 pub mod math;
 pub mod rng;
 pub mod sizing;
-pub mod sync;
 
 pub use audit::InvariantViolation;
 pub use error::{ParseAccessKindError, TransportError, TransportErrorKind, ValidationError};

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run -p xtask -- lint        # pure static checks, no cargo subprocesses
-//! cargo run -p xtask -- analyze     # atomics / lock-discipline passes (token-based)
+//! cargo run -p xtask -- analyze     # three token-based code-discipline passes
 //! cargo run -p xtask -- fuzz        # differential fuzzers over the pinned seed set
 //! cargo run -p xtask -- fuzz --minutes N   # soak: fresh derived seeds until N minutes pass
 //! ```
@@ -43,24 +43,17 @@
 //! `FGCACHE_FUZZ_SEEDS`), so CI exercises more seeds than the in-repo
 //! defaults without ever becoming flaky.
 //!
-//! `analyze` is the concurrency-discipline gate, companion to the
-//! deterministic interleaving explorer in `fgcache_types::sync::model`
-//! (run under `--features fgcache_model`). It lexes every source file
-//! with the small tokenizer in [`lexer`] — so comments, strings and
-//! test-gated items are structurally excluded — and enforces:
+//! `analyze` lexes every source file with the small tokenizer in
+//! [`lexer`] — so comments, strings and test-gated items are
+//! structurally excluded — and enforces three rules:
 //!
 //! 1. **`SeqCst` ban** — `Ordering::SeqCst` never appears in library
 //!    code, workspace-wide. Every ordering must say what it publishes
-//!    or acquires; a total order is never needed here and the model
-//!    runtime does not provide one.
-//! 2. **Atomics discipline** — in files that import the
-//!    `fgcache_types::sync` facade: atomic stores are `Release`, loads
-//!    are `Acquire`, and `Relaxed` is allowed only on the allowlisted
-//!    diagnostic counter (`lock_acquisitions`).
-//! 3. **Ascending lock loops** — a loop that acquires shard locks must
+//!    or acquires; no code here needs a single total order.
+//! 2. **Ascending lock loops** — a loop that acquires shard locks must
 //!    not iterate in reverse (`.rev()`); the lock-order witness enforces
 //!    the same discipline at runtime in debug builds.
-//! 4. **Checked id narrowing** — no truncating `as` cast on u64 file
+//! 3. **Checked id narrowing** — no truncating `as` cast on u64 file
 //!    ids; a narrower id must come from a checked conversion
 //!    (`try_from`).
 //!
@@ -707,19 +700,18 @@ fn scan_control_bytes(file: &Path, bytes: &[u8], violations: &mut Vec<Violation>
     }
 }
 
-/// Runs the concurrency-discipline passes; prints violations and
+/// Runs the three code-discipline passes; prints violations and
 /// returns the exit code. See the crate docs for the rule list.
 fn analyze(root: &Path) -> ExitCode {
     let members = workspace_members(root);
     let mut violations = Vec::new();
     check_seqcst_ban(&members, &mut violations);
-    check_atomics_discipline(&members, &mut violations);
     check_lock_loop_order(&members, &mut violations);
     check_id_narrowing(&members, &mut violations);
     if violations.is_empty() {
         println!(
-            "xtask analyze: {} crates clean (SeqCst ban, atomics discipline, \
-             ascending lock loops, checked id narrowing)",
+            "xtask analyze: {} crates clean (SeqCst ban, ascending lock loops, \
+             checked id narrowing)",
             members.len()
         );
         ExitCode::SUCCESS
@@ -731,21 +723,6 @@ fn analyze(root: &Path) -> ExitCode {
         ExitCode::FAILURE
     }
 }
-
-/// Diagnostic counters where `Relaxed` is the documented, intended
-/// ordering (monotonic statistics, exact only once threads join).
-const RELAXED_ALLOWLIST: [&str; 1] = ["lock_acquisitions"];
-
-/// Memory-ordering method names whose call sites the discipline pass
-/// inspects.
-const ATOMIC_METHODS: [&str; 6] = [
-    "load",
-    "store",
-    "fetch_add",
-    "fetch_sub",
-    "swap",
-    "compare_exchange",
-];
 
 /// Analyze check 1: the `SeqCst` ordering never appears in library
 /// code, in any crate. (The token text is assembled at runtime so the
@@ -774,139 +751,7 @@ fn check_seqcst_ban(members: &[Member], violations: &mut Vec<Violation>) {
     }
 }
 
-/// The receiver identifier of a method call whose `.` sits at token
-/// index `dot`: `self.head.load(..)` → `head`; `self.slots[pos].load(..)`
-/// → `slots` (the indexed collection). `None` when the receiver is not
-/// a simple field/identifier chain.
-fn receiver_name(tokens: &[Token], dot: usize) -> Option<String> {
-    let prev = dot.checked_sub(1)?;
-    let t = &tokens[prev];
-    if t.kind == TokenKind::Ident {
-        return Some(t.text.clone());
-    }
-    if t.is_punct(']') {
-        let open = match_backward(tokens, prev, '[', ']')?;
-        let before = tokens.get(open.checked_sub(1)?)?;
-        if before.kind == TokenKind::Ident {
-            return Some(before.text.clone());
-        }
-    }
-    if t.is_punct(')') {
-        let open = match_backward(tokens, prev, '(', ')')?;
-        let before = tokens.get(open.checked_sub(1)?)?;
-        if before.kind == TokenKind::Ident {
-            return Some(before.text.clone());
-        }
-    }
-    None
-}
-
-/// All `Ordering::X` variant names appearing between `open` and its
-/// matching close paren.
-fn orderings_in_call(tokens: &[Token], open: usize) -> Option<(Vec<String>, usize)> {
-    let close = match_forward(tokens, open, '(', ')')?;
-    let mut orderings = Vec::new();
-    let mut i = open + 1;
-    while i + 3 <= close {
-        if tokens[i].is_ident("Ordering")
-            && tokens[i + 1].is_punct(':')
-            && tokens[i + 2].is_punct(':')
-            && tokens[i + 3].kind == TokenKind::Ident
-        {
-            orderings.push(tokens[i + 3].text.clone());
-            i += 4;
-        } else {
-            i += 1;
-        }
-    }
-    Some((orderings, close))
-}
-
-/// Analyze check 2: atomics discipline in files importing the
-/// `fgcache_types::sync` facade — stores publish with `Release`, loads
-/// synchronize with `Acquire`, and `Relaxed` appears only on receivers
-/// in [`RELAXED_ALLOWLIST`].
-fn check_atomics_discipline(members: &[Member], violations: &mut Vec<Violation>) {
-    for member in members {
-        for file in rust_sources(&member.src_dir) {
-            let Ok(text) = fs::read_to_string(&file) else {
-                continue;
-            };
-            let tokens = code_tokens(&text);
-            let imports_facade = tokens.windows(4).any(|w| {
-                w[0].is_ident("fgcache_types")
-                    && w[1].is_punct(':')
-                    && w[2].is_punct(':')
-                    && w[3].is_ident("sync")
-            });
-            if !imports_facade {
-                continue;
-            }
-            scan_atomic_orderings(&file, &tokens, violations);
-        }
-    }
-}
-
-/// The ordering rules for one file's tokens (split out for fixtures).
-fn scan_atomic_orderings(file: &Path, tokens: &[Token], violations: &mut Vec<Violation>) {
-    for i in 0..tokens.len() {
-        if !tokens[i].is_punct('.') {
-            continue;
-        }
-        let Some(method) = tokens.get(i + 1) else {
-            continue;
-        };
-        if method.kind != TokenKind::Ident {
-            continue;
-        }
-        let name = method.text.trim_end_matches("_weak");
-        if !ATOMIC_METHODS.contains(&name) {
-            continue;
-        }
-        if !tokens.get(i + 2).is_some_and(|t| t.is_punct('(')) {
-            continue;
-        }
-        let Some((orderings, _)) = orderings_in_call(tokens, i + 2) else {
-            continue;
-        };
-        if orderings.is_empty() {
-            continue; // not an atomic call (e.g. Vec::swap)
-        }
-        let receiver = receiver_name(tokens, i);
-        let allowlisted = receiver
-            .as_deref()
-            .is_some_and(|r| RELAXED_ALLOWLIST.contains(&r));
-        let receiver_label = receiver.as_deref().unwrap_or("<expr>").to_string();
-        for ordering in &orderings {
-            let ok = match (name, ordering.as_str()) {
-                ("load", "Acquire") => true,
-                ("store", "Release") => true,
-                // RMWs that both read and publish.
-                ("fetch_add" | "fetch_sub" | "swap" | "compare_exchange", "Acquire")
-                | ("fetch_add" | "fetch_sub" | "swap" | "compare_exchange", "Release")
-                | ("fetch_add" | "fetch_sub" | "swap" | "compare_exchange", "AcqRel") => true,
-                (_, "Relaxed") => allowlisted,
-                _ => false,
-            };
-            if !ok {
-                violations.push(Violation {
-                    file: file.to_path_buf(),
-                    line: Some(method.line),
-                    message: format!(
-                        "`{receiver_label}.{}(… Ordering::{ordering} …)` breaks the atomics \
-                         discipline: stores publish with Release, loads synchronize with \
-                         Acquire; Relaxed is reserved for the allowlisted counters \
-                         ({})",
-                        method.text,
-                        RELAXED_ALLOWLIST.join(", ")
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// Analyze check 3: a loop body that acquires shard locks must not
+/// Analyze check 2: a loop body that acquires shard locks must not
 /// iterate in reverse. Ascending acquisition order is the deadlock-
 /// freedom discipline the runtime witness asserts in debug builds; a
 /// `.rev()` in the loop header with a `shard(...)` call in the body is
@@ -966,7 +811,7 @@ const NARROWING_TARGETS: [&str; 9] = [
 /// Identifier names the id-narrowing rule treats as file ids.
 const ID_NAMES: [&str; 4] = ["id", "file", "fid", "file_id"];
 
-/// Analyze check 4: no truncating `as` cast on u64 file ids — flags
+/// Analyze check 3: no truncating `as` cast on u64 file ids — flags
 /// `….as_u64() as <narrow>`, `<id>.0 as <narrow>` and `<id> as
 /// <narrow>`. A narrower id must come from a checked conversion
 /// (`try_from`), which reports overflow instead of truncating.
@@ -1367,57 +1212,6 @@ use std::net::TcpStream;\n";
     }
 
     #[test]
-    fn atomics_discipline_accepts_the_documented_patterns() {
-        let src = "\
-use fgcache_types::sync::{AtomicU64, Ordering};\n\
-fn f(s: &Shard) {\n\
-    let _ = s.slots[0].load(Ordering::Acquire);\n\
-    s.slots[0].store(1, Ordering::Release);\n\
-    let _ = s.lock_acquisitions.load(Ordering::Relaxed);\n\
-    s.lock_acquisitions.store(0, Ordering::Relaxed);\n\
-    s.lock_acquisitions.fetch_add(1, Ordering::Relaxed);\n\
-    let _ = s.head.compare_exchange_weak(0, 1, Ordering::AcqRel, Ordering::Acquire);\n\
-}\n";
-        let v = scan_fixture(src, scan_atomic_orderings);
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn atomics_discipline_flags_relaxed_outside_the_allowlist() {
-        let src = "\
-use fgcache_types::sync::{AtomicU64, Ordering};\n\
-fn f(s: &Shard) {\n\
-    let _ = s.slots[0].load(Ordering::Relaxed);\n\
-    s.value.store(1, Ordering::Relaxed);\n\
-    s.tail.store(2, Ordering::Relaxed);\n\
-}\n";
-        let v = scan_fixture(src, scan_atomic_orderings);
-        assert_eq!(v.len(), 3, "{v:?}");
-        assert_eq!(v[0].line, Some(3));
-        assert_eq!(v[1].line, Some(4));
-        assert_eq!(v[2].line, Some(5));
-        assert!(v[0].to_string().contains("atomics discipline"));
-    }
-
-    #[test]
-    fn atomics_discipline_is_scoped_to_facade_importers() {
-        // Same violations, but the file does not import the facade:
-        // the discipline pass must not fire (check_atomics_discipline
-        // applies the scope test before scanning).
-        let src = "\
-use std::sync::atomic::{AtomicU64, Ordering};\n\
-fn f(s: &Shard) { let _ = s.value.load(Ordering::Relaxed); }\n";
-        let tokens = code_tokens(src);
-        let imports_facade = tokens.windows(4).any(|w| {
-            w[0].is_ident("fgcache_types")
-                && w[1].is_punct(':')
-                && w[2].is_punct(':')
-                && w[3].is_ident("sync")
-        });
-        assert!(!imports_facade);
-    }
-
-    #[test]
     fn lock_loop_order_flags_reverse_iteration() {
         let src = "\
 fn snapshot(&self) {\n\
@@ -1478,7 +1272,6 @@ fn f(file: FileId, id: u64) -> Option<u32> {\n\
         let members = workspace_members(&root);
         let mut violations = Vec::new();
         check_seqcst_ban(&members, &mut violations);
-        check_atomics_discipline(&members, &mut violations);
         check_lock_loop_order(&members, &mut violations);
         check_id_narrowing(&members, &mut violations);
         let rendered: Vec<String> = violations.iter().map(Violation::to_string).collect();
